@@ -40,6 +40,7 @@ OUTPUT_DIR_ENV = "DISSIPATIVE_ISING_OUTPUT_DIR"
 
 @dataclass
 class FixedPointOpts:
+    # accepted and passed on, but unused: fixed points are enumerated exactly
     n_seeds: int = 200
 
 
@@ -54,7 +55,7 @@ class EvolveOpts:
 
 @dataclass
 class SweepOpts:
-    n_seeds: int = 200
+    n_seeds: int = 200  # unused, as in FixedPointOpts
     select_branch: bool = True
     detect_cycles: bool = True
     settle_time: float = 200.0

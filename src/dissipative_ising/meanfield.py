@@ -13,9 +13,12 @@ unit sphere: d(r^2)/dt = (Gamma/4) Z (r^2 - 1) vanishes at r = 1.
 
 This module provides the right-hand side and its analytic Jacobian,
 closed-form steady states for the two limiting orientations p = 1 and
-p = 0, a multi-start damped-Newton fixed-point search with linear
-stability classification, adaptive trajectory integration, limit-cycle
-detection, and continuation sweeps along a parameter path.
+p = 0, an exact enumeration of the fixed points on the sphere (closed
+forms at p = 0 and p = 1, elimination of X and Y to a polynomial of
+degree <= 6 in Z in between) with linear stability classification,
+adaptive trajectory integration, limit-cycle detection, and
+continuation sweeps along a parameter path.  The enumeration uses no
+random numbers.
 
 Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 """
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from .errors import InsufficientDataError, IntegrationError, NotAFixedPointError
@@ -56,6 +60,13 @@ STABILITY_TOL = 1e-9
 ROOT_TOL = 1e-10
 # Roots closer than this (Euclidean) are considered the same fixed point.
 DEDUP_TOL = 1e-6
+# A root counts as on the unit sphere when | |s| - 1 | is at most this.
+_SPHERE_TOL = 1e-8
+# Polynomial roots with |Im Z| and |Z| - 1 below this are real candidates;
+# Newton polishing and the residual test decide which of them are roots.
+_REAL_ROOT_TOL = 1e-6
+# Newton steps that polish each candidate root.
+_POLISH_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -261,79 +272,169 @@ def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> Fi
     )
 
 
+def _p1_candidates(params: ModelParams) -> list[np.ndarray]:
+    """Roots on the sphere at p = 1.
+
+    For Z != 0 the closed form of :func:`analytic_p1` with either sign
+    of Z.  At Z = 0 every (X, Gamma/(8g), 0) is a root (a marginal
+    line); it meets the sphere in two points when |Gamma/(8g)| <= 1.
+    """
+    out = []
+    lower = analytic_p1(params)
+    if lower is not None:
+        out += [lower, lower * np.array([1.0, 1.0, -1.0])]
+    if params.g != 0.0:
+        y = params.Gamma / (8.0 * params.g)
+        if abs(y) <= 1.0:
+            x = math.sqrt(1.0 - y * y)
+            out += [np.array([x, y, 0.0]), np.array([-x, y, 0.0])]
+    return out
+
+
+def _eliminated_candidates(params: ModelParams) -> np.ndarray:
+    """Roots for 0 < p < 1 and g != 0 from the eliminated Z polynomial.
+
+    At fixed Z, dX/dt = dY/dt = 0 is linear in (X, Y):
+
+        A(Z) (X, Y) = b = (0, p g Z),   A = [a Z, c(Z); d(Z), a Z],   a = Gamma/8,
+        c = -(p V/2) Z - (1-p) g,   d = ((2p-1) V/2) Z + (1-p) g,
+
+    so X = -c p g Z / det A and Y = a p g Z^2 / det A.  Substituting into
+    dZ/dt = 0 and clearing det^2 leaves a polynomial of degree <= 6 in
+    Z whose real roots in [-1, 1] carry every fixed point on the sphere.
+    det A cannot vanish at a fixed point here: a singular A(Z) admits a
+    solution only if both Cramer numerators vanish, which needs Z = 0,
+    where det A = ((1-p) g)^2 > 0.
+
+    Cramer's rule loses accuracy where det A is small (near p = 0 and
+    near g = 0), so (X, Y) is rebuilt from the singular value
+    decomposition A = s1 u1 v1^T + s2 u2 v2^T instead: the component
+    along v1 is u1.b / s1, and the component along v2 follows from
+    X^2 + Y^2 = 1 - Z^2 up to its sign.  Both signs are returned;
+    polishing and the residual test keep the right one.
+    """
+    v, g, p, gam = params.V, params.g, params.p, params.Gamma
+    a = gam / 8.0
+    # coefficient arrays, lowest degree first
+    c = np.array([-(1.0 - p) * g, -p * v / 2.0])
+    d = np.array([(1.0 - p) * g, (2.0 * p - 1.0) * v / 2.0])
+    det = P.polysub([0.0, 0.0, a * a], P.polymul(c, d))
+    nx = P.polymul(c, [0.0, -p * g])
+    ny = np.array([0.0, 0.0, a * p * g])
+    poly = P.polyadd(
+        P.polymul([0.0, 0.0, a * (p * g) ** 2], det),
+        P.polymul(((1.0 - p) * v / 2.0) * nx, ny),
+    )
+    poly = P.polysub(poly, P.polymul(a * np.array([1.0, 0.0, -1.0]), P.polymul(det, det)))
+    roots = P.polyroots(poly)
+    real = (np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0 + _REAL_ROOT_TOL)
+    z = roots.real[real]
+    mats = np.empty((z.size, 2, 2))
+    mats[:, 0, 0] = mats[:, 1, 1] = a * z
+    mats[:, 0, 1] = P.polyval(z, c)
+    mats[:, 1, 0] = P.polyval(z, d)
+    u, s, vt = np.linalg.svd(mats)
+    along_v1 = u[:, 1, 0] * (p * g) * z / s[:, 0]
+    along_v2 = np.sqrt(np.maximum(1.0 - z * z - along_v1**2, 0.0))
+    xy = along_v1[:, None] * vt[:, 0, :]
+    return np.concatenate([
+        np.column_stack([xy + sign * along_v2[:, None] * vt[:, 1, :], z])
+        for sign in (1.0, -1.0)
+    ])
+
+
+def _undriven_candidates(params: ModelParams) -> list[np.ndarray]:
+    """Roots on the sphere at g = 0 and 0 < p < 1.
+
+    With g = 0 the system A(Z) (X, Y) = b of :func:`_eliminated_candidates`
+    reads Z M (X, Y) = 0 for a fixed matrix M, so away from Z = 0 only
+    the poles solve the flow.  At Z = 0, A vanishes and dZ/dt = 0 leaves
+    (1-p)(V/2) X Y = Gamma/8, which meets the equator X^2 + Y^2 = 1
+    where |X Y| <= 1/2.  (Where det M = 0 as well, whole circles of
+    roots pass through the poles; they are not isolated and are not
+    listed.)
+    """
+    v, p, gam = params.V, params.p, params.Gamma
+    out = [np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0])]
+    if v != 0.0:
+        xy = gam / (4.0 * (1.0 - p) * v)
+        if abs(xy) <= 0.5:
+            s, t = math.sqrt(1.0 + 2.0 * xy), math.sqrt(1.0 - 2.0 * xy)
+            for a, b in ((s, t), (s, -t), (-s, t), (-s, -t)):
+                out.append(np.array([(a + b) / 2.0, (a - b) / 2.0, 0.0]))
+    return out
+
+
+def _candidates(params: ModelParams) -> np.ndarray:
+    """Approximate fixed points on the sphere, shape (n, 3), possibly repeated."""
+    if params.p == 0.0:
+        cands = [s for s, _label in analytic_p0(params)]
+    elif params.p == 1.0:
+        cands = _p1_candidates(params)
+    elif params.g == 0.0:
+        cands = _undriven_candidates(params)
+    else:
+        return _eliminated_candidates(params)
+    return np.array(cands, dtype=float).reshape(-1, 3)
+
+
+def _polish(states: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on the 3-vector system; the best iterate of each row.
+
+    Returns the polished states and their max-abs residuals.  The
+    pseudo-inverse tolerates the singular Jacobians of marginal roots.
+    """
+    current = states
+    f = _rhs_many(current, params)
+    best, best_res = states.copy(), np.abs(f).max(axis=1)
+    for _ in range(_POLISH_STEPS):
+        pinv = np.linalg.pinv(_jacobian_many(current, params), rcond=1e-10)
+        current = current - np.einsum("nij,nj->ni", pinv, f)
+        f = _rhs_many(current, params)
+        res = np.abs(f).max(axis=1)
+        better = res < best_res
+        best[better] = current[better]
+        best_res[better] = res[better]
+    return best, best_res
+
+
 def find_fixed_points(
     params: ModelParams,
     n_seeds: int = 200,
     rng_seed=0,
-    max_iter: int = 80,
     root_tol: float = ROOT_TOL,
     dedup_tol: float = DEDUP_TOL,
 ) -> list[FixedPoint]:
-    """Multi-start damped-Newton search for all fixed points of the flow.
+    """Every isolated fixed point of the flow on the unit sphere, classified.
 
-    Seeds are drawn uniformly on the unit sphere from a generator
-    seeded with ``rng_seed``; the Newton iteration runs on the raw
-    3-component residual (no constraint elimination) with backtracking
-    damping and a pseudo-inverse step, so it tolerates the singular
-    Jacobians that occur on marginal manifolds.  Converged roots
-    (max-abs residual below ``root_tol``) are deduplicated at distance
-    ``dedup_tol`` in seed order and classified.
+    The enumeration is exact and deterministic.  For 0 < p < 1 and
+    g != 0 the fixed points are the real roots in [-1, 1] of a
+    polynomial of degree <= 6 in Z, obtained by solving dX/dt = dY/dt = 0
+    for (X, Y) at fixed Z and eliminating them from dZ/dt = 0.  At
+    p = 0 they are the closed-form candidates of :func:`analytic_p0`;
+    at p = 1 the +/-Z pair of :func:`analytic_p1` plus the two points
+    where the marginal line Z = 0, Y = Gamma/(8g) meets the sphere; at
+    g = 0 the poles plus the equator points where (1-p)(V/2) X Y =
+    Gamma/8.  Each candidate is polished by a few Newton steps and kept
+    if its max-abs residual is at most ``root_tol`` and it lies on the
+    unit sphere; candidates closer than ``dedup_tol`` are merged.  Roots
+    off the sphere (possible only at Z = 0, since d(r^2)/dt =
+    (Gamma/4) Z (r^2 - 1)) and continua of roots are not listed.
+
+    ``n_seeds`` and ``rng_seed`` are unused; they remain so that
+    existing configs, metadata files and callers keep working, and
+    ``n_seeds`` is still validated.
 
     Returns stable points first, then the rest, each group ordered by
-    (Z, X, Y).  An empty list is a legal result (no roots found).
+    (Z, X, Y).  An empty list is a legal result (no roots on the sphere).
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    rng = np.random.default_rng(rng_seed)
-    seeds = rng.normal(size=(n_seeds, 3))
-    seeds /= np.maximum(np.linalg.norm(seeds, axis=1, keepdims=True), 1e-300)
-
-    states = seeds.copy()
-    resid_vec = _rhs_many(states, params)
-    res = np.abs(resid_vec).max(axis=1)
-    alive = np.ones(n_seeds, dtype=bool)
-
-    for _ in range(max_iter):
-        active = alive & (res > root_tol)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        s = states[idx]
-        f = resid_vec[idx]
-        jac = _jacobian_many(s, params)
-        step = -np.einsum("nij,nj->ni", np.linalg.pinv(jac, rcond=1e-10), f)
-        # Clamp runaway steps (pinv can still be large near rank changes).
-        norms = np.linalg.norm(step, axis=1)
-        too_big = norms > 2.0
-        if too_big.any():
-            step[too_big] *= (2.0 / norms[too_big])[:, None]
-
-        base = np.abs(f).max(axis=1)
-        lam = np.ones(len(idx))
-        accepted = np.zeros(len(idx), dtype=bool)
-        for _bt in range(14):
-            todo = np.flatnonzero(~accepted)
-            if todo.size == 0:
-                break
-            trial = s[todo] + lam[todo, None] * step[todo]
-            f_trial = _rhs_many(trial, params)
-            r_trial = np.abs(f_trial).max(axis=1)
-            ok = r_trial <= (1.0 - 1e-4 * lam[todo]) * base[todo]
-            hit = todo[ok]
-            states[idx[hit]] = trial[ok]
-            resid_vec[idx[hit]] = f_trial[ok]
-            res[idx[hit]] = r_trial[ok]
-            accepted[hit] = True
-            lam[todo[~ok]] *= 0.5
-        # Seeds whose line search failed outright are abandoned.
-        alive[idx[~accepted]] = False
-        # Seeds that wandered far off the sphere chase irrelevant roots.
-        far = np.linalg.norm(states[idx], axis=1) > 10.0
-        alive[idx[far]] = False
-
-    conv = np.flatnonzero((res <= root_tol) & np.isfinite(res))
+    cands = _candidates(params)
+    states, res = _polish(cands[np.isfinite(cands).all(axis=1)], params)
+    on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
     unique: list[tuple[np.ndarray, float]] = []
-    for i in conv:
+    for i in np.flatnonzero(on_sphere & (res <= root_tol)):
         st, r = states[i], res[i]
         for k, (u_state, u_res) in enumerate(unique):
             if np.linalg.norm(st - u_state) < dedup_tol:

@@ -2,20 +2,21 @@
 
 Grid points are independent tasks: failures are recorded per row and
 never abort a sweep, output order is row-major over the grid no matter
-how many workers run, and every point derives its RNG seed from the
-base seed and its linear index, so results are reproducible bit for
-bit at any worker count.
+how many workers run, and every point is computed deterministically, so
+results are reproducible bit for bit at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
 
+from .errors import InsufficientDataError
 from .liouville import (
     DENSE_N_MAX,
     build_basis,
@@ -153,26 +154,32 @@ def _select_branch(params: ModelParams, stable: list[FixedPoint], settle_time: f
 
 
 def _detect_cycle_from(state, params: ModelParams) -> bool:
+    """Whether the flow from ``state`` ends on a limit cycle.
+
+    Raises InsufficientDataError when the trajectory window holds too
+    few oscillations to tell.
+    """
     traj = integrate_trajectory(state, params, t_end=150.0, rel_tol=1e-9, abs_tol=1e-11)
-    try:
-        return detect_limit_cycle(traj, transient_fraction=0.3) is not None
-    except Exception:
-        return False
+    return detect_limit_cycle(traj, transient_fraction=0.3) is not None
 
 
 def _mf_point(task) -> PhasePoint:
-    (index, params, seed, n_seeds, select_branch, detect_cycles, settle_time) = task
+    (index, params, n_seeds, select_branch, detect_cycles, settle_time) = task
     try:
-        points = find_fixed_points(params, n_seeds=n_seeds, rng_seed=seed)
+        points = find_fixed_points(params, n_seeds=n_seeds)
         stable = [fp for fp in points if fp.stable]
         selected_z = math.nan
         limit_cycle = False
+        error = None
         if select_branch or (detect_cycles and not stable):
             selected_z, end, converged = _select_branch(params, stable, settle_time)
             # a non-converged selection means the pole feeds a cycle: either
             # the bare unstable region or a cycle coexisting with fixed points
             if detect_cycles and not converged:
-                limit_cycle = _detect_cycle_from(end, params)
+                try:
+                    limit_cycle = _detect_cycle_from(end, params)
+                except InsufficientDataError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
         return PhasePoint(
             index=index,
             params=params,
@@ -180,6 +187,7 @@ def _mf_point(task) -> PhasePoint:
             stable_count=len(stable),
             selected_Z=selected_z,
             limit_cycle=limit_cycle,
+            error=error,
         )
     except Exception as exc:  # failures isolate to this row
         return PhasePoint(
@@ -232,7 +240,9 @@ def _quantum_point(task) -> PhasePoint:
 
 
 def _run_tasks(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    # more processes than cores or tasks only adds start-up and contention
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
@@ -261,9 +271,13 @@ def phase_diagram(
     """Scan a parameter grid with the mean-field or quantum solver.
 
     The mean-field solver records the stable fixed points at every
-    point (seeded per point from ``rng_seed`` and the linear index),
-    the Z of the branch reachable from the south pole, and a
-    limit-cycle flag where no stable point exists.  The quantum solver
+    point (enumerated exactly, see ``find_fixed_points``), the Z of the
+    branch reachable from the south pole, and a limit-cycle flag where
+    the pole trajectory does not settle; when the cycle check has too
+    little trajectory to decide, the row's ``error`` says so and its
+    other columns stand.  ``n_seeds`` and ``rng_seed`` are unused and
+    kept for existing callers and configs.  ``workers`` is capped at
+    the number of CPUs and of grid points.  The quantum solver
     records the steady-state magnetization and optionally the
     Liouvillian gap, selecting the iterative eigensolver above N = 30.
     Rows come back in row-major grid order at any worker count.
@@ -274,8 +288,8 @@ def phase_diagram(
     indices = list(_grid_indices(grid))
     if solver == "mf":
         tasks = [
-            (idx, prm, [int(rng_seed), lin], n_seeds, select_branch, detect_cycles, settle_time)
-            for lin, (idx, prm) in enumerate(zip(indices, params_list))
+            (idx, prm, n_seeds, select_branch, detect_cycles, settle_time)
+            for idx, prm in zip(indices, params_list)
         ]
         return _run_tasks(_mf_point, tasks, workers)
     if solver == "quantum":
@@ -302,7 +316,8 @@ def multistability_map(
     """Stable-solution counts over a (g, p) grid at fixed V.
 
     Branch selection is skipped (only counts and cycle flags matter),
-    which keeps large scans cheap.
+    which keeps large scans cheap.  ``n_seeds`` and ``rng_seed`` are
+    unused, as in :func:`phase_diagram`.
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:

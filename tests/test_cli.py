@@ -140,6 +140,8 @@ class TestCliRuns:
         assert main([cfg_path, "--output-dir", str(out)]) == 0
         rows = read_csv(out / "fixed_points.csv")
         header = rows[0]
+        # the isolated roots on the sphere: the +/-Z pair and two on Z = 0
+        assert len(rows) - 1 == 4
         stable_rows = [r for r in rows[1:] if r[header.index("stable")] == "1"]
         assert len(stable_rows) == 1
         x, y, z = (float(stable_rows[0][header.index(c)]) for c in ("X", "Y", "Z"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from dissipative_ising import (
     jacobian,
     settle,
 )
-from dissipative_ising.meanfield import _jacobian_many, _rhs_many
-from dissipative_ising.sweep import multistability_map, Axis, GridSpec
+from dissipative_ising.meanfield import ROOT_TOL, _jacobian_many, _rhs_many
+from newton_oracle import newton_fixed_points
 
 
 def random_params(rng, p=None):
@@ -253,6 +254,52 @@ class TestFindFixedPoints:
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.state, fb.state)
 
+    def test_seed_arguments_unused(self):
+        prm = ModelParams(V=-5, g=-0.4, p=0.65)
+        a = find_fixed_points(prm, 1, rng_seed=0)
+        b = find_fixed_points(prm, 400, rng_seed=123)
+        assert len(a) == len(b) == 6
+        for fa, fb in zip(a, b):
+            assert np.array_equal(fa.state, fb.state)
+
+    def test_p1_lists_isolated_roots_on_sphere(self):
+        # the +/-Z closed-form pair and the two points where the marginal
+        # line (X, Gamma/(8g), 0) meets the sphere
+        prm = ModelParams(V=-5, g=1, p=1)
+        fps = find_fixed_points(prm)
+        assert len(fps) == 4
+        ref = analytic_p1(prm)
+        assert np.abs(fps[0].state - ref).max() < 1e-12
+        assert fps[0].stable and not any(fp.stable for fp in fps[1:])
+        equator = sorted(fp.state[0] for fp in fps if abs(fp.state[2]) < 1e-12)
+        assert equator == pytest.approx([-math.sqrt(1 - 1 / 64), math.sqrt(1 - 1 / 64)], abs=1e-12)
+
+    def test_undriven_equator_points(self):
+        # g = 0: the poles, and four equator points with (1-p)(V/2) X Y = Gamma/8
+        prm = ModelParams(V=-5, g=0, p=0.4)
+        fps = find_fixed_points(prm)
+        equator = [fp.state for fp in fps if abs(fp.state[2]) < 0.5]
+        assert len(fps) == 6 and len(equator) == 4
+        for s in equator:
+            assert (1 - prm.p) * prm.V / 2 * s[0] * s[1] == pytest.approx(prm.Gamma / 8, abs=1e-12)
+
+    def test_roots_on_sphere_with_small_residual(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            prm = random_params(rng)
+            for fp in find_fixed_points(prm):
+                assert abs(np.linalg.norm(fp.state) - 1.0) <= 1e-8
+                assert fp.residual <= ROOT_TOL
+
+    def test_near_singular_limits(self):
+        # det A(Z) is tiny at these roots: small p pulls them toward the
+        # p = 0 family, tiny g toward the g = 0 equator
+        for prm in (ModelParams(V=-50, g=10, p=1e-6), ModelParams(V=-5, g=1e-5, p=0.2)):
+            stable = [fp.state for fp in find_fixed_points(prm) if fp.stable]
+            # the +/-X pair: a 300-seed Newton search misses one at g = 1e-5
+            assert len(stable) == 2
+            assert np.abs(stable[0][:2] + stable[1][:2]).max() < 1e-5
+
     def test_reflection_symmetry_at_p1(self):
         # stable-point count and |Z| are invariant under g -> -g at p = 1
         for g in (0.3, 1.1, 2.0, 2.45, 2.7):
@@ -363,13 +410,36 @@ class TestContinuation:
             )
 
 
-class TestSeedSaturation:
-    def test_stable_counts_saturate_on_grid(self):
-        # 50x50 (g, p) grid at V=-5: 200 and 400 seeds find identical counts
-        fixed = ModelParams(V=-5, g=0, p=0)
-        grid = GridSpec(Axis("g", -4.0, 4.0, 50), Axis("p", 0.0, 1.0, 50), fixed)
-        lo = multistability_map(grid, workers=8, n_seeds=200, rng_seed=21, detect_cycles=False)
-        hi = multistability_map(grid, workers=8, n_seeds=400, rng_seed=21, detect_cycles=False)
-        counts_lo = [pt.stable_count for pt in lo]
-        counts_hi = [pt.stable_count for pt in hi]
-        assert counts_lo == counts_hi
+class TestNewtonOracle:
+    """The exact enumeration against the multi-start Newton search."""
+
+    # Saddle-node where the second lower branch is born at V = -5, g = -1:
+    # the sharp edge of the hysteresis interval near p = 0.77.
+    EDGE_P = 0.7669319806
+
+    def test_matches_oracle_on_grid(self):
+        grid = list(itertools.product(
+            (-5.0, -1.0, -0.3, 0.0, 2.0),
+            (-3.0, -1.0, -0.3, 0.0, 0.0063, 0.5, 2.5),
+            (0.0, 0.1, 0.3, 0.5, 0.77, 0.9, 1.0),
+            (1.0, 0.5),
+        ))
+        grid += [(-5.0, -1.0, self.EDGE_P + dp, 1.0) for dp in (-1e-4, -1e-6, 1e-6, 1e-4)]
+        mismatches = []
+        for v, g, p, gamma in grid:
+            prm = ModelParams(V=v, g=g, p=p, Gamma=gamma)
+            exact = find_fixed_points(prm)
+            oracle = newton_fixed_points(prm, n_seeds=300, rng_seed=0)
+            ours = [fp.state for fp in exact if fp.stable]
+            theirs = [fp.state for fp in oracle if fp.stable]
+            same = len(ours) == len(theirs) and all(
+                min(np.abs(s - t).max() for t in theirs) <= 1e-8 for s in ours
+            )
+            # every root the oracle finds on the sphere is enumerated too
+            on_sphere = [fp.state for fp in oracle if abs(np.linalg.norm(fp.state) - 1) <= 1e-8]
+            complete = all(
+                any(np.abs(s - fp.state).max() <= 1e-8 for fp in exact) for s in on_sphere
+            )
+            if not (same and complete):
+                mismatches.append((v, g, p, gamma, len(ours), len(theirs), complete))
+        assert not mismatches

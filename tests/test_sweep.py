@@ -139,6 +139,32 @@ class TestPhaseDiagram:
         assert points[1].stable_count == 0
         assert points[0].stable_count == 1 and points[2].stable_count == 1
 
+    def test_undecided_cycle_check_records_reason(self):
+        # at V=-5, g=0, p=0.2 the pole trajectory neither settles nor shows
+        # enough Z maxima in the cycle window to call it a cycle
+        grid = GridSpec(Axis("p", 0.2, 0.3, 2), None, ModelParams(V=-5, g=0, p=0))
+        point = multistability_map(grid)[0]
+        assert point.error.startswith("InsufficientDataError: only 2 Z maxima")
+        assert point.stable_count == 0 and not point.limit_cycle
+
+    def test_cycle_check_failures_isolate(self, monkeypatch):
+        def broken(traj, transient_fraction):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(sweep_module, "detect_limit_cycle", broken)
+        grid = GridSpec(Axis("g", 2.9, 3.1, 2), None, ModelParams(V=-5, g=0, p=1))
+        points = phase_diagram(grid, settle_time=20.0)
+        for pt in points:
+            assert pt.error == "RuntimeError: synthetic failure"
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 1)
+        assert sweep_module._run_tasks(abs, [-3, 4, -5], workers=8) == [3, 4, 5]
+
     def test_invalid_solver_and_workers(self):
         grid = GridSpec(Axis("g", 0.5, 1.5, 2), None, FIXED)
         with pytest.raises(ValueError):
