@@ -20,9 +20,9 @@ from .liouville import (
     build_liouvillian,
     dicke_state_rho,
     evolve_rho,
-    lindblad_rhs,
     liouvillian_gap,
     magnetization,
+    propagate,
     ramped_evolution,
     steady_state,
     unvec,
@@ -49,7 +49,6 @@ from .operators import (
     DickeBasis,
     build_basis,
     op_cartesian,
-    op_casimir,
     op_ladder,
     spin_coherent_state,
 )

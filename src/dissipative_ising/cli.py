@@ -17,7 +17,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import __version__
 from .config import (
@@ -29,15 +28,11 @@ from .config import (
 )
 from .errors import ConfigError, InsufficientDataError
 from .liouville import (
-    DENSE_N_MAX,
     build_basis,
     build_liouvillian,
     dicke_state_rho,
-    liouvillian_gap,
     magnetization,
-    steady_state,
-    unvec,
-    vec,
+    propagate,
 )
 from .meanfield import (
     ModelParams,
@@ -46,7 +41,7 @@ from .meanfield import (
     integrate_trajectory,
 )
 from .operators import spin_coherent_state
-from .sweep import analytic_boundaries, hysteresis_experiment, phase_diagram
+from .sweep import analytic_boundaries, hysteresis_experiment, phase_diagram, quantum_point
 from .tables import Table, write_metadata, write_table
 
 TOOL_NAME = "dissipative-ising"
@@ -152,7 +147,10 @@ def _run_mf_sweep(cfg: RunConfig, primary_name: str) -> dict[str, Table]:
 def _run_quantum_sweep(cfg: RunConfig, compute_gap: bool) -> dict[str, Table]:
     name = "gap" if compute_gap else "steady_state"
     opts = cfg.sweep_opts
-    if cfg.grid is not None:
+    if cfg.grid is None:
+        # a single point is a one-row sweep whose failure ends the run
+        points = [quantum_point((0, 0), cfg.model, compute_gap, opts.gap_k)]
+    else:
         points = phase_diagram(
             cfg.grid,
             solver="quantum",
@@ -161,25 +159,7 @@ def _run_quantum_sweep(cfg: RunConfig, compute_gap: bool) -> dict[str, Table]:
             compute_gap=compute_gap,
             gap_k=opts.gap_k,
         )
-        return _sweep_tables(points, name)
-    # single point
-    basis = build_basis(cfg.model.N)
-    liouv = build_liouvillian(cfg.model, basis)
-    method = "dense" if cfg.model.N <= DENSE_N_MAX else "iterative"
-    if compute_gap:
-        spectral = liouvillian_gap(liouv, method=method, k=opts.gap_k)
-        rho, gap, mult = spectral.steady_state, spectral.gap, spectral.zero_multiplicity
-    else:
-        result = steady_state(liouv, method=method, k=opts.gap_k)
-        rho, gap, mult = result.rho, None, result.zero_multiplicity
-    mag = magnetization(rho)
-    table = Table(columns=_SWEEP_COLUMNS)
-    table.append(
-        0, 0, cfg.model.V, cfg.model.g, cfg.model.p, cfg.model.Gamma, cfg.model.N,
-        0, float(mag[2]), False, float(mag[0]), float(mag[1]), float(mag[2]),
-        gap, mult, None,
-    )
-    return {name: table}
+    return _sweep_tables(points, name)
 
 
 def _initial_rho(cfg: RunConfig, basis):
@@ -200,18 +180,10 @@ def _run_quantum_evolve(cfg: RunConfig) -> dict[str, Table]:
     liouv = build_liouvillian(cfg.model, basis)
     rho0 = _initial_rho(cfg, basis)
     times = np.linspace(0.0, opts.t_end, opts.n_snapshots)
-    sol = solve_ivp(
-        lambda _t, y: liouv.matrix @ y,
-        (0.0, opts.t_end),
-        vec(rho0),
-        method="DOP853",
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        t_eval=times,
-    )
+    snapshots = propagate(liouv, rho0, times, opts.rel_tol, opts.abs_tol)
     table = Table(columns=["t", "X", "Y", "Z"])
-    for k, t in enumerate(sol.t):
-        mag = magnetization(unvec(sol.y[:, k], basis.dim))
+    for t, rho in zip(times, snapshots):
+        mag = magnetization(rho)
         table.append(float(t), float(mag[0]), float(mag[1]), float(mag[2]))
     return {"evolution": table}
 

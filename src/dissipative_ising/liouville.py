@@ -16,13 +16,23 @@ Vectorizing rho by column stacking (Fortran order), A rho B maps to
 
 For this model H is real symmetric and J- real, so the matrix above
 coincides with the standard Kronecker form quoted for superoperators;
-the direct-form right-hand side ``lindblad_rhs`` is kept as an
-independent formulation and the two are cross-checked in the tests.
+the tests cross-check it against the direct-form right-hand side.
 
 Eigenvalue conventions: the spectrum lies in the closed left half
 plane; the eigenvector of the (unique, for generic finite N) zero
 eigenvalue is the steady state, and the gap is |Re| of the nonzero
 eigenvalue closest to the imaginary axis (the asymptotic decay rate).
+
+Each question has one route, for every N up to ``N_LIMIT``:
+
+* steady state: one sparse LU solve of L with its first row replaced
+  by the trace functional (``steady_state``);
+* gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins and
+  shift-invert Arnoldi near zero above; this is the only size
+  dispatch in the package (``liouvillian_gap``);
+* time evolution: one DOP853 integration of the vectorized linear
+  system (``propagate``, behind ``evolve_rho`` and
+  ``ramped_evolution``).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs, splu
 
 from .errors import IntegrationError, SolverError
 from .meanfield import ModelParams
@@ -46,21 +56,21 @@ __all__ = [
     "SpectralResult",
     "build_hamiltonian",
     "build_liouvillian",
-    "lindblad_rhs",
     "vec",
     "unvec",
     "dicke_state_rho",
     "steady_state",
     "liouvillian_gap",
+    "propagate",
     "evolve_rho",
     "magnetization",
     "ramped_evolution",
 ]
 
-# Dense full diagonalization is the default up to this spin count;
-# beyond it the shift-invert Arnoldi path is used.
+# The gap comes from a dense full diagonalization up to this spin
+# count and from shift-invert Arnoldi beyond it.
 DENSE_N_MAX = 30
-# Hard cap: a dense (N+1)^2 Liouvillian beyond this is impractical.
+# The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
 
 
@@ -85,12 +95,11 @@ class LiouvillianMatrix:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Steady-state density matrix extracted from the zero mode."""
+    """Steady-state density matrix; the zero eigenvalue is simple."""
 
     rho: np.ndarray
     residual: float
     zero_multiplicity: int
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -144,19 +153,6 @@ def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatr
     return LiouvillianMatrix(matrix=lmat.tocsr(), basis=basis, params=params)
 
 
-def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, jump: np.ndarray, rate: float) -> np.ndarray:
-    """Direct-form master-equation right-hand side (no vectorization).
-
-    Computes -i[H, rho] + rate (2 J rho J+ - J+J rho - rho J+J) with
-    J+ the conjugate transpose of ``jump``; kept as the independent
-    counterpart of the Kronecker-form matrix.
-    """
-    jdag = jump.conj().T
-    jdj = jdag @ jump
-    comm = hamiltonian @ rho - rho @ hamiltonian
-    return -1j * comm + rate * (2.0 * jump @ rho @ jdag - jdj @ rho - rho @ jdj)
-
-
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix (Fortran-order flatten)."""
     return np.asarray(rho).reshape(-1, order="F")
@@ -201,26 +197,12 @@ def _eigs_near_zero(matrix: sp.csr_matrix, k: int, scale: float):
     )
 
 
-def _extract_rho(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatrix, zero_tol: float):
-    """Steady-state density matrix from the near-zero eigenvectors."""
-    near_zero = np.flatnonzero(np.abs(vals) < zero_tol)
-    multiplicity = int(near_zero.size)
-    if multiplicity == 0:
-        candidates = [int(np.argmin(np.abs(vals)))]
-    else:
-        candidates = list(near_zero)
-    dim = liouv.basis.dim
-    best_rho, best_tr = None, -1.0
-    for i in candidates:
-        rho = unvec(vecs[:, i], dim)
-        tr = abs(np.trace(rho))
-        if tr > best_tr:
-            best_rho, best_tr = rho, tr
-    if best_tr < 1e-10:
-        raise SolverError(
-            "zero-eigenvalue eigenvector is traceless; no steady state extracted"
-        )
-    rho = (best_rho + best_rho.conj().T) / 2.0
+def _normalized_rho(rho: np.ndarray, liouv: LiouvillianMatrix):
+    """Hermitian part of ``rho`` at unit trace, and its residual |L vec(rho)|.
+
+    Positivity is checked and warned about, not enforced.
+    """
+    rho = (rho + rho.conj().T) / 2.0
     tr = np.trace(rho).real
     rho = rho / tr
     residual = float(np.linalg.norm(liouv.matrix @ vec(rho)))
@@ -228,79 +210,66 @@ def _extract_rho(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatrix, z
     if min_eig < -1e-8:
         warnings.warn(
             f"extracted steady state has eigenvalue {min_eig:.2e} < -1e-8; "
-            "the eigensolve may be inaccurate",
+            "the solve may be inaccurate",
             stacklevel=3,
         )
-    return rho, residual, multiplicity
+    return rho, residual
 
 
-def _zero_tol(liouv: LiouvillianMatrix, zero_tol: float | None) -> float:
-    return 1e-10 * max(liouv.scale, 1.0) if zero_tol is None else float(zero_tol)
+def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
+    """Steady state from one sparse direct solve, for every N.
 
-
-def steady_state(
-    liouv: LiouvillianMatrix,
-    method: str | None = None,
-    zero_tol: float | None = None,
-    k: int = 6,
-) -> SteadyStateResult:
-    """Steady state as the zero-eigenvalue eigenvector of the Liouvillian.
-
-    ``method`` is "dense" (full spectrum) or "iterative" (shift-invert
-    Arnoldi near zero); by default dense up to N = 30.  The extracted
-    matrix is symmetrized and trace-normalized; a degenerate zero
-    eigenvalue (multiplicity > 1 within ``zero_tol``) is reported, not
-    fatal.  Positivity is checked and warned about, not enforced.
+    The first row of L is replaced by the trace functional, and
+    L' vec(rho) = e_1 is solved by sparse LU.  Trace preservation makes
+    that row a combination of the others, so the bordered matrix is
+    invertible exactly when the zero eigenvalue of L is simple; a
+    singular factorization raises ``SolverError``, and so does a
+    residual |L vec(rho)| above 1e-8.  The result is Hermitized and
+    trace-normalized; positivity is warned about, not enforced.
     """
-    if method is None:
-        method = "dense" if liouv.basis.n_spins <= DENSE_N_MAX else "iterative"
-    tol = _zero_tol(liouv, zero_tol)
-    if method == "dense":
-        vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
-    elif method == "iterative":
-        vals, vecs = _eigs_near_zero(liouv.matrix, k=k, scale=liouv.scale)
-    else:
-        raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
-    rho, residual, multiplicity = _extract_rho(vals, vecs, liouv, tol)
-    if residual > 1e-8:
-        raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds 1e-8 "
-            f"(method={method}, zero multiplicity={multiplicity})"
-        )
-    return SteadyStateResult(
-        rho=rho,
-        residual=residual,
-        zero_multiplicity=max(multiplicity, 1),
-        degenerate=multiplicity > 1,
+    dim = liouv.basis.dim
+    trace_row = sp.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+        shape=(1, dim * dim),
     )
+    bordered = sp.vstack([trace_row, liouv.matrix[1:]], format="csc")
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        solution = splu(bordered).solve(rhs)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"bordered steady-state system is singular ({exc}); "
+            "the zero eigenvalue is not simple"
+        ) from exc
+    rho, residual = _normalized_rho(unvec(solution, dim), liouv)
+    if residual > 1e-8:
+        raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-8")
+    return SteadyStateResult(rho=rho, residual=residual, zero_multiplicity=1)
 
 
-def liouvillian_gap(
+def _spectral_result(
+    vals: np.ndarray,
+    vecs: np.ndarray,
     liouv: LiouvillianMatrix,
-    method: str = "dense",
-    k: int = 12,
     zero_tol: float | None = None,
 ) -> SpectralResult:
-    """Liouvillian spectrum near zero and the asymptotic decay rate.
-
-    The gap is |Re| of the nonzero eigenvalue with the largest real
-    part, after excluding eigenvalues with |lambda| < ``zero_tol``
-    (default 1e-10 times the max-abs matrix entry).  The dense method
-    returns the full spectrum; the iterative method returns the ``k``
-    eigenvalues nearest zero, which is what the gap needs in the
-    slow-relaxation regimes of interest.  In a gapless/degenerate
-    window the zero multiplicity is reported rather than failing.
-    """
-    tol = _zero_tol(liouv, zero_tol)
-    if method == "dense":
-        vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
-    elif method == "iterative":
-        vals, vecs = _eigs_near_zero(liouv.matrix, k=k, scale=liouv.scale)
-    else:
-        raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
-    rho, _residual, multiplicity = _extract_rho(vals, vecs, liouv, tol)
-
+    """Gap, zero mode and sorted eigenvalues from (part of) the spectrum."""
+    tol = 1e-10 * max(liouv.scale, 1.0) if zero_tol is None else float(zero_tol)
     moduli = np.abs(vals)
+    near_zero = np.flatnonzero(moduli < tol)
+    multiplicity = int(near_zero.size)
+    candidates = list(near_zero) if multiplicity else [int(np.argmin(moduli))]
+    # the zero mode is the candidate with the largest trace
+    modes = [unvec(vecs[:, i], liouv.basis.dim) for i in candidates]
+    traces = [abs(np.trace(mode)) for mode in modes]
+    best = int(np.argmax(traces))
+    if traces[best] < 1e-10:
+        raise SolverError(
+            "zero-eigenvalue eigenvector is traceless; no steady state extracted"
+        )
+    rho, _residual = _normalized_rho(modes[best], liouv)
+
     nonzero = vals[moduli >= tol]
     if nonzero.size == 0:
         gap = 0.0
@@ -311,7 +280,7 @@ def liouvillian_gap(
         warnings.warn(
             f"second eigenvalue modulus {sorted_second[1]:.2e} is within 10x of "
             f"the zero threshold {tol:.2e}; gap/steady-state separation is marginal",
-            stacklevel=2,
+            stacklevel=3,
         )
     order = np.lexsort((vals.imag, -vals.real))
     return SpectralResult(
@@ -320,6 +289,65 @@ def liouvillian_gap(
         steady_state=rho,
         zero_multiplicity=max(multiplicity, 1),
     )
+
+
+def liouvillian_gap(
+    liouv: LiouvillianMatrix,
+    k: int = 12,
+    zero_tol: float | None = None,
+) -> SpectralResult:
+    """Liouvillian spectrum near zero and the asymptotic decay rate.
+
+    The gap is |Re| of the nonzero eigenvalue with the largest real
+    part, after excluding eigenvalues with |lambda| < ``zero_tol``
+    (default 1e-10 times the max-abs matrix entry).  The solver follows
+    from N alone: up to ``DENSE_N_MAX`` spins the full spectrum comes
+    from a dense eigendecomposition; above it, shift-invert Arnoldi
+    returns the ``k`` eigenvalues nearest zero.  The steady state and
+    zero multiplicity come from the zero mode of the same eigensolve.
+    In a gapless/degenerate window the zero multiplicity is reported
+    rather than failing.
+
+    Known limitation: the iterative gap is the rightmost of the ``k``
+    eigenvalues smallest in modulus, not the rightmost eigenvalue.  A
+    slow mode far up the imaginary axis is missed and the gap comes
+    out too large: at N = 50, V = -5, p = 0, g = -3 it reads 0.987,
+    while the full spectrum has a nonzero mode with real part -0.499.
+    """
+    if liouv.basis.n_spins <= DENSE_N_MAX:
+        vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
+    else:
+        vals, vecs = _eigs_near_zero(liouv.matrix, k=k, scale=liouv.scale)
+    return _spectral_result(vals, vecs, liouv, zero_tol)
+
+
+def propagate(
+    liouv: LiouvillianMatrix,
+    rho0: np.ndarray,
+    times,
+    rtol: float,
+    atol: float,
+) -> list[np.ndarray]:
+    """Density matrices at ``times`` from ``rho0`` at t = 0.
+
+    One DOP853 integration of the vectorized linear system up to
+    ``times[-1]``, reporting the ascending output ``times``.  The only
+    propagator for density matrices.
+    """
+    matrix = liouv.matrix
+    dim = liouv.basis.dim
+    sol = solve_ivp(
+        lambda _t, y: matrix @ y,
+        (0.0, float(times[-1])),
+        vec(rho0),
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        t_eval=times,
+    )
+    if not sol.success:
+        raise IntegrationError(f"master-equation integration failed: {sol.message}")
+    return [unvec(sol.y[:, i], dim) for i in range(sol.y.shape[1])]
 
 
 def evolve_rho(
@@ -332,8 +360,8 @@ def evolve_rho(
 ) -> np.ndarray:
     """Integrate the master equation from ``rho0`` for time ``t_end``.
 
-    Runs the same adaptive explicit scheme as the mean-field module on
-    the vectorized linear system.  With the default tolerances trace
+    Runs :func:`propagate` (the adaptive explicit scheme of the
+    mean-field module) to ``t_end``.  With the default tolerances trace
     and Hermiticity drift stay below 1e-9.
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -348,19 +376,7 @@ def evolve_rho(
                 f"params.N={params.N} inconsistent with rho0 dimension {dim}"
             )
         liouv = build_liouvillian(params, build_basis(params.N))
-    matrix = liouv.matrix
-    sol = solve_ivp(
-        lambda _t, y: matrix @ y,
-        (0.0, float(t_end)),
-        vec(rho0),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=[float(t_end)],
-    )
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
-    return unvec(sol.y[:, -1], dim)
+    return propagate(liouv, rho0, [float(t_end)], rtol, atol)[-1]
 
 
 def magnetization(rho: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "build_basis",
     "op_ladder",
     "op_cartesian",
-    "op_casimir",
     "spin_coherent_state",
 ]
 
@@ -109,16 +108,6 @@ def op_cartesian(basis: DickeBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     jy = (jplus - jminus) / 2.0j
     jz = np.diag(np.asarray(basis.m_values, dtype=complex))
     return jx, jy, jz
-
-
-def op_casimir(basis: DickeBasis) -> np.ndarray:
-    """Total angular momentum squared, J^2 = j(j+1) * identity.
-
-    On the maximal-j manifold J^2 is constant; Jx^2 + Jy^2 + Jz^2
-    reproduces it and is used as an independent cross-check in tests.
-    """
-    j = basis.j
-    return j * (j + 1) * np.eye(basis.dim, dtype=complex)
 
 
 def spin_coherent_state(basis: DickeBasis, theta: float, phi: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .liouville import (
-    DENSE_N_MAX,
+    N_LIMIT,
     build_basis,
     build_liouvillian,
     liouvillian_gap,
@@ -43,6 +43,7 @@ __all__ = [
     "PhasePoint",
     "HysteresisResult",
     "phase_diagram",
+    "quantum_point",
     "multistability_map",
     "analytic_boundaries",
     "hysteresis_experiment",
@@ -201,33 +202,39 @@ def _mf_point(task) -> PhasePoint:
         )
 
 
+def quantum_point(index, params: ModelParams, compute_gap: bool, k: int) -> PhasePoint:
+    """Quantum steady state, and optionally the gap, at one grid point.
+
+    The magnetization comes from ``steady_state``, or with
+    ``compute_gap`` from the zero mode of the ``k``-mode gap eigensolve.
+    Solver failures raise.
+    """
+    liouv = build_liouvillian(params, build_basis(params.N))
+    if compute_gap:
+        spectral = liouvillian_gap(liouv, k=k)
+        rho, gap, mult = spectral.steady_state, spectral.gap, spectral.zero_multiplicity
+    else:
+        result = steady_state(liouv)
+        rho, gap, mult = result.rho, None, result.zero_multiplicity
+    mag = magnetization(rho)
+    return PhasePoint(
+        index=index,
+        params=params,
+        stable_points=[],
+        stable_count=0,
+        selected_Z=float(mag[2]),
+        limit_cycle=False,
+        magnetization=mag,
+        gap=gap,
+        zero_multiplicity=mult,
+    )
+
+
 def _quantum_point(task) -> PhasePoint:
-    (index, params, compute_gap, k) = task
+    index, params = task[:2]
     try:
-        basis = build_basis(params.N)
-        liouv = build_liouvillian(params, basis)
-        method = "dense" if params.N <= DENSE_N_MAX else "iterative"
-        if compute_gap:
-            spectral = liouvillian_gap(liouv, method=method, k=k)
-            rho = spectral.steady_state
-            gap = spectral.gap
-            mult = spectral.zero_multiplicity
-        else:
-            result = steady_state(liouv, method=method, k=k)
-            rho, gap, mult = result.rho, None, result.zero_multiplicity
-        mag = magnetization(rho)
-        return PhasePoint(
-            index=index,
-            params=params,
-            stable_points=[],
-            stable_count=0,
-            selected_Z=float(mag[2]),
-            limit_cycle=False,
-            magnetization=mag,
-            gap=gap,
-            zero_multiplicity=mult,
-        )
-    except Exception as exc:
+        return quantum_point(*task)
+    except Exception as exc:  # failures isolate to this row
         return PhasePoint(
             index=index,
             params=params,
@@ -277,10 +284,11 @@ def phase_diagram(
     little trajectory to decide, the row's ``error`` says so and its
     other columns stand.  ``n_seeds`` and ``rng_seed`` are unused and
     kept for existing callers and configs.  ``workers`` is capped at
-    the number of CPUs and of grid points.  The quantum solver
-    records the steady-state magnetization and optionally the
-    Liouvillian gap, selecting the iterative eigensolver above N = 30.
-    Rows come back in row-major grid order at any worker count.
+    the number of CPUs and of grid points.  The quantum solver checks
+    every N against ``liouville.N_LIMIT`` before any solve, then runs
+    :func:`quantum_point` at each point: the steady-state magnetization
+    and, with ``compute_gap``, the Liouvillian gap.  Rows come back in
+    row-major grid order at any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -296,8 +304,8 @@ def phase_diagram(
         for prm in params_list:
             if prm.N is None:
                 raise ValueError("quantum sweeps require N in the fixed parameters")
-            if prm.N > 100:
-                raise ValueError(f"quantum sweeps are capped at N=100, got N={prm.N}")
+            if prm.N > N_LIMIT:
+                raise ValueError(f"quantum sweeps are capped at N={N_LIMIT}, got N={prm.N}")
         tasks = [
             (idx, prm, compute_gap, gap_k)
             for idx, prm in zip(indices, params_list)
@@ -394,8 +402,7 @@ def _mf_branch(p_values, base: ModelParams, settle_time: float):
 def _quantum_branch(p_values, base: ModelParams, window: float):
     basis = build_basis(base.N)
     first = replace(base, p=float(p_values[0]))
-    method = "dense" if base.N <= DENSE_N_MAX else "iterative"
-    rho0 = steady_state(build_liouvillian(first, basis), method=method).rho
+    rho0 = steady_state(build_liouvillian(first, basis)).rho
     schedule = [(replace(base, p=float(p)), window) for p in p_values]
     records = ramped_evolution(rho0, schedule)
     return np.array([mag for _prm, mag in records])

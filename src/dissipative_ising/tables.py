@@ -11,6 +11,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class Table:
@@ -31,22 +33,13 @@ def format_cell(value) -> str:
     """Deterministic text form: bools as 0/1, floats at 17 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
     if isinstance(value, str):
         return value
-    # numpy scalars and anything else numeric
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError):
-        return str(value)
-    if as_float == int(as_float) and hasattr(value, "dtype") and "int" in str(value.dtype):
-        return str(int(as_float))
-    return format(as_float, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
 
 
 def write_table(table: Table, path) -> None:

@@ -26,7 +26,6 @@ from dissipative_ising import (
     find_fixed_points,
     integrate_trajectory,
     jacobian,
-    lindblad_rhs,
     liouvillian_gap,
     magnetization,
     op_ladder,
@@ -36,6 +35,7 @@ from dissipative_ising import (
 )
 from dissipative_ising.cli import main
 from dissipative_ising.sweep import Axis, GridSpec, hysteresis_experiment, multistability_map
+from reference_ops import lindblad_rhs
 
 
 def report(num, text):
@@ -220,8 +220,7 @@ def test_08_finite_size_to_mean_field():
         deviations = []
         for n in (10, 20, 40):
             prm = ModelParams(V=-5, g=g, p=1, N=n)
-            method = "dense" if n <= 30 else "iterative"
-            result = steady_state(build_liouvillian(prm, build_basis(n)), method=method)
+            result = steady_state(build_liouvillian(prm, build_basis(n)))
             deviations.append(abs(magnetization(result.rho)[2] - z_mf))
         assert deviations[0] >= deviations[1] >= deviations[2], (
             f"g={g}: deviations {deviations} not non-increasing"
@@ -233,16 +232,15 @@ def test_08_finite_size_to_mean_field():
 
 def test_09_gap_closure_trend():
     basis20, basis40 = build_basis(20), build_basis(40)
+    # N = 20 is on the dense side of the gap solver, N = 40 on the iterative one
     gap_20 = liouvillian_gap(
-        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=20), basis20), method="dense"
+        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=20), basis20)
     ).gap
     gap_40 = liouvillian_gap(
-        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=40), basis40),
-        method="iterative", k=16,
+        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=40), basis40), k=16
     ).gap
     gap_40_wide = liouvillian_gap(
-        build_liouvillian(ModelParams(V=-5, g=4, p=0, N=40), basis40),
-        method="iterative", k=16,
+        build_liouvillian(ModelParams(V=-5, g=4, p=0, N=40), basis40), k=16
     ).gap
     assert gap_40 < gap_20
     assert gap_40_wide >= 10.0 * gap_40

@@ -6,7 +6,17 @@ import os
 import numpy as np
 import pytest
 import yaml
+from scipy.integrate import solve_ivp
 
+from dissipative_ising import (
+    ModelParams,
+    build_basis,
+    build_liouvillian,
+    magnetization,
+    spin_coherent_state,
+    unvec,
+    vec,
+)
 from dissipative_ising.cli import main
 from dissipative_ising.config import (
     OUTPUT_DIR_ENV,
@@ -15,6 +25,7 @@ from dissipative_ising.config import (
     validate_config,
 )
 from dissipative_ising.errors import ConfigError
+from dissipative_ising.sweep import _quantum_point
 from dissipative_ising.tables import Table, format_cell, write_table
 
 
@@ -96,12 +107,31 @@ class TestWriteTable:
         assert read_csv(path) == [["x"], ["3"], ["1"], ["2"]]
 
     def test_formatting(self):
-        assert format_cell(None) == ""
-        assert format_cell(True) == "1"
-        assert format_cell(False) == "0"
-        assert format_cell(7) == "7"
-        assert format_cell(1 / 3) == "0.33333333333333331"
-        assert format_cell(math.nan) == "nan"
+        # the text of every cell type the tables hold, Python and numpy alike
+        cases = [
+            (None, ""),
+            ("up", "up"),
+            ("", ""),
+            (True, "1"),
+            (False, "0"),
+            (np.True_, "1"),
+            (np.False_, "0"),
+            (0, "0"),
+            (7, "7"),
+            (-42, "-42"),
+            (np.int64(7), "7"),
+            (np.int32(-3), "-3"),
+            (2.0, "2"),
+            (-1.0e-17, "-1.0000000000000001e-17"),
+            (1 / 3, "0.33333333333333331"),
+            (math.inf, "inf"),
+            (math.nan, "nan"),
+            (np.float64(1 / 3), "0.33333333333333331"),
+            (np.float64(-0.0), "-0"),
+            (np.float32(0.1), "0.10000000149011612"),
+        ]
+        for value, text in cases:
+            assert format_cell(value) == text, repr(value)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = Table(columns=["x", "y"])
@@ -203,6 +233,58 @@ class TestCliRuns:
         rows = read_csv(out / "steady_state.csv")
         z = float(rows[1][rows[0].index("Z")])
         assert z == pytest.approx(-0.8963, abs=1e-3)
+
+    @pytest.mark.parametrize("task, table", [("quantum-steady", "steady_state"),
+                                              ("quantum-gap", "gap")])
+    def test_quantum_single_point_matches_sweep_point(self, tmp_path, task, table):
+        model = {"V": -5.0, "g": -1.0, "p": 0.77, "Gamma": 1.0, "N": 10}
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {"task": task, "model": model, "options": {"gap_k": 12}, "rng_seed": 2},
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 0
+        rows = read_csv(out / f"{table}.csv")
+        assert len(rows) == 2
+
+        pt = _quantum_point(((0, 0), ModelParams(**model), task == "quantum-gap", 12))
+        assert pt.error is None
+        mag = pt.magnetization
+        expected = [
+            0, 0, pt.params.V, pt.params.g, pt.params.p, pt.params.Gamma, pt.params.N,
+            0, pt.selected_Z, False, float(mag[0]), float(mag[1]), float(mag[2]),
+            pt.gap, pt.zero_multiplicity, None,
+        ]
+        assert rows[1] == [format_cell(v) for v in expected]
+
+    def test_quantum_evolve_is_one_dop853_run(self, tmp_path):
+        opts = {"initial": {"theta": 2.0, "phi": 0.5}, "t_end": 6.0, "n_snapshots": 13,
+                "rel_tol": 1e-9, "abs_tol": 1e-11}
+        model = {"V": -5.0, "g": -1.0, "p": 0.6, "N": 8}
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {"task": "quantum-evolve", "model": model, "quantum_evolve": opts, "rng_seed": 2},
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "evolution.csv")
+        assert rows[0] == ["t", "X", "Y", "Z"]
+        got = [[float(v) for v in row] for row in rows[1:]]
+
+        # the snapshot grid from a single DOP853 integration, recomputed here
+        basis = build_basis(8)
+        liouv = build_liouvillian(ModelParams(**model), basis)
+        psi = spin_coherent_state(basis, 2.0, 0.5)
+        times = np.linspace(0.0, 6.0, 13)
+        sol = solve_ivp(
+            lambda _t, y: liouv.matrix @ y, (0.0, 6.0), vec(np.outer(psi, psi.conj())),
+            method="DOP853", rtol=1e-9, atol=1e-11, t_eval=times,
+        )
+        expected = []
+        for k, t in enumerate(sol.t):
+            mag = magnetization(unvec(sol.y[:, k], basis.dim))
+            expected.append([float(t), float(mag[0]), float(mag[1]), float(mag[2])])
+        assert got == expected
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", BOUNDARIES_CFG)

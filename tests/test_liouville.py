@@ -1,16 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from dissipative_ising import (
+    LiouvillianMatrix,
     ModelParams,
+    SolverError,
     analytic_p1,
     build_basis,
     build_hamiltonian,
     build_liouvillian,
     dicke_state_rho,
     evolve_rho,
-    lindblad_rhs,
     liouvillian_gap,
     magnetization,
     op_cartesian,
@@ -20,6 +25,8 @@ from dissipative_ising import (
     unvec,
     vec,
 )
+from dissipative_ising.liouville import _eigs_near_zero, _spectral_result
+from reference_ops import lindblad_rhs
 
 
 def random_hermitian(rng, dim, unit_trace=False):
@@ -182,17 +189,44 @@ class TestSteadyState:
         rho_t = evolve_rho(rho_ss, prm, 50.0, liouv=liouv)
         assert trace_distance(rho_t, rho_ss) < 1e-8
 
-    def test_iterative_matches_dense(self):
-        prm = ModelParams(V=-5, g=0.8, p=0.4, N=12)
-        liouv = build_liouvillian(prm, build_basis(12))
-        dense = steady_state(liouv, method="dense")
-        iterative = steady_state(liouv, method="iterative", k=8)
-        assert trace_distance(dense.rho, iterative.rho) < 1e-9
+    @staticmethod
+    def dense_null_vector(liouv):
+        # oracle: the eigenvector of the eigenvalue smallest in modulus,
+        # from the full dense spectrum
+        vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
+        moduli = np.sort(np.abs(vals))
+        assert moduli[1] > 1e3 * max(moduli[0], 1e-14)  # a simple zero mode
+        rho = unvec(vecs[:, int(np.argmin(np.abs(vals)))], liouv.basis.dim)
+        rho = rho / np.trace(rho)
+        return (rho + rho.conj().T) / 2
 
-    def test_invalid_method(self):
-        liouv = build_liouvillian(ModelParams(V=1, g=1, p=0.5, N=3), build_basis(3))
-        with pytest.raises(ValueError):
-            steady_state(liouv, method="magic")
+    def test_matches_dense_null_vector_on_grid(self):
+        cut = [
+            (n, p, g, v)
+            for n in (1, 2, 5, 10)
+            for p, g, v in itertools.product(
+                (0.0, 0.25, 0.5, 0.77, 1.0), (-3.0, -1.0, 0.0, 0.3, 1.0), (-5.0, 0.0, 2.0)
+            )
+        ]
+        cut += [(20, p, g, -5.0) for p in (0.0, 0.5, 0.77, 1.0) for g in (-3.0, 1.0)]
+        for n, p, g, v in cut:
+            liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n))
+            result = steady_state(liouv)
+            reference = self.dense_null_vector(liouv)
+            assert np.abs(result.rho - reference).max() < 1e-10, (n, p, g, v)
+            assert result.residual <= 1e-8 and result.zero_multiplicity == 1
+
+    def test_singular_or_inconsistent_system_raises(self):
+        basis = build_basis(1)
+        prm = ModelParams(V=1, g=1, p=0.5, N=1)
+        # every rho is stationary: the bordered system is singular
+        flat = LiouvillianMatrix(sp.csr_matrix((4, 4), dtype=complex), basis, prm)
+        with pytest.raises(SolverError, match="singular"):
+            steady_state(flat)
+        # a map that does not preserve the trace has no steady state
+        decay = LiouvillianMatrix(-sp.identity(4, dtype=complex, format="csr"), basis, prm)
+        with pytest.raises(SolverError, match="residual"):
+            steady_state(decay)
 
 
 class TestGap:
@@ -206,10 +240,11 @@ class TestGap:
             assert result.eigenvalues.real.max() <= 1e-8
 
     def test_iterative_matches_dense(self):
+        # N = 20 takes the dense route; the iterative route is called directly
         prm = ModelParams(V=-5, g=1, p=0, N=20)
         liouv = build_liouvillian(prm, build_basis(20))
-        dense = liouvillian_gap(liouv, method="dense")
-        iterative = liouvillian_gap(liouv, method="iterative", k=12)
+        dense = liouvillian_gap(liouv)
+        iterative = _spectral_result(*_eigs_near_zero(liouv.matrix, 12, liouv.scale), liouv)
         assert dense.gap == pytest.approx(iterative.gap, rel=1e-6)
 
     def test_eigenvalues_sorted_by_real_part(self):

@@ -6,10 +6,10 @@ import pytest
 from dissipative_ising import (
     build_basis,
     op_cartesian,
-    op_casimir,
     op_ladder,
     spin_coherent_state,
 )
+from reference_ops import op_casimir
 
 
 def maxabs(a):

@@ -12,6 +12,7 @@ from dissipative_ising import (
     multistability_map,
     phase_diagram,
 )
+from dissipative_ising.liouville import N_LIMIT
 from dissipative_ising.sweep import Axis, GridSpec
 
 
@@ -101,11 +102,20 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram(grid, solver="quantum")
 
-    def test_quantum_sweep_size_cap(self):
-        big = ModelParams(V=-5, g=0, p=1, N=120)
+    def test_quantum_sweep_size_cap(self, monkeypatch):
+        # the cap is checked before any point is solved
+        def no_solve(task):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(sweep_module, "_quantum_point", no_solve)
+        big = ModelParams(V=-5, g=0, p=1, N=N_LIMIT + 1)
         grid = GridSpec(Axis("g", 0.5, 1.0, 2), None, big)
-        with pytest.raises(ValueError, match="capped at N=100"):
+        with pytest.raises(ValueError, match=f"capped at N={N_LIMIT}"):
             phase_diagram(grid, solver="quantum")
+        # N = N_LIMIT passes the check and reaches the solver
+        at_cap = GridSpec(Axis("g", 0.5, 1.0, 2), None, ModelParams(V=-5, g=0, p=1, N=N_LIMIT))
+        with pytest.raises(AssertionError, match="a point was solved"):
+            phase_diagram(at_cap, solver="quantum")
 
     def test_worker_determinism(self):
         grid = GridSpec(Axis("g", -2.0, 2.0, 3), Axis("p", 0.0, 1.0, 2), FIXED)
