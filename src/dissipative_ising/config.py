@@ -11,6 +11,7 @@ reproduces it exactly.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import yaml
@@ -328,6 +329,14 @@ def validate_config(raw: dict) -> RunConfig:
             ),
             gap_k=_get_int(block, "gap_k", "options", default=12, minimum=2),
         )
+        if task == "quantum-steady" and "gap_k" in block:
+            # still accepted, so that older metadata.json files load
+            warnings.warn(
+                "options.gap_k: ignored for task quantum-steady, whose steady state "
+                "is a direct sparse solve; it sets the mode count of quantum-gap",
+                UserWarning,
+                stacklevel=2,
+            )
         if task == "multistability" and cfg.grid is not None:
             names = {cfg.grid.axis1.name} | ({cfg.grid.axis2.name} if cfg.grid.axis2 else set())
             if not names <= {"g", "p"}:
@@ -477,6 +486,8 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "settle_time": cfg.sweep_opts.settle_time,
             "gap_k": cfg.sweep_opts.gap_k,
         }
+        if cfg.task == "quantum-steady":
+            del out["options"]["gap_k"]
     if cfg.quantum_evolve is not None:
         out["quantum_evolve"] = {
             "initial": cfg.quantum_evolve.initial,

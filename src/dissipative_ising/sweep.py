@@ -131,27 +131,44 @@ class PhasePoint:
     error: str | None = None
 
 
-def _select_branch(params: ModelParams, stable: list[FixedPoint], settle_time: float):
+def _select_branch(
+    params: ModelParams, stable: list[FixedPoint], settle_time: float, detect_cycles: bool
+):
     """Z of the stable fixed point reached from (just off) the south pole.
 
-    Integration restarts for up to four settle windows; points that are
-    still moving after that (limit cycles, marginal slivers) report NaN.
+    Integration restarts for up to four settle windows.  Settling ends
+    as soon as the trajectory enters the certified capture region of a
+    stable point, which then is the selected branch.  Points that are
+    neither captured nor converged after four windows report NaN.  With
+    ``detect_cycles``, the cycle check runs after a first window that
+    ends uncaptured, and a cycle found there ends the point.
+
+    Returns (selected Z, end state, converged, cycle found early).
     """
     end = SOUTH_POLE_SEED
     residual = math.inf
-    for _ in range(4):
-        end = settle(end, params, settle_time)
+    for window in range(4):
+        end = settle(end, params, settle_time, capture=stable)
         residual = float(np.abs(bloch_rhs(end, params)).max())
         if residual < 1e-8:
             break
+        if window == 0 and detect_cycles:
+            # Only a cycle ends the point here.  No cycle, or too few
+            # oscillations to tell yet, goes on to windows 2-4 and the
+            # check after them, whose error is the one written to the row.
+            try:
+                if _detect_cycle_from(end, params):
+                    return math.nan, end, False, True
+            except InsufficientDataError:
+                pass
     if residual >= 1e-8:
-        return math.nan, end, False
+        return math.nan, end, False, False
     if stable:
         dists = [np.linalg.norm(end - fp.state) for fp in stable]
         k = int(np.argmin(dists))
         if dists[k] < 1e-3:
-            return float(stable[k].state[2]), end, True
-    return float(end[2]), end, True
+            return float(stable[k].state[2]), end, True, False
+    return float(end[2]), end, True, False
 
 
 def _detect_cycle_from(state, params: ModelParams) -> bool:
@@ -173,10 +190,12 @@ def _mf_point(task) -> PhasePoint:
         limit_cycle = False
         error = None
         if select_branch or (detect_cycles and not stable):
-            selected_z, end, converged = _select_branch(params, stable, settle_time)
+            selected_z, end, converged, limit_cycle = _select_branch(
+                params, stable, settle_time, detect_cycles
+            )
             # a non-converged selection means the pole feeds a cycle: either
             # the bare unstable region or a cycle coexisting with fixed points
-            if detect_cycles and not converged:
+            if detect_cycles and not (converged or limit_cycle):
                 try:
                     limit_cycle = _detect_cycle_from(end, params)
                 except InsufficientDataError as exc:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="start < stop"):
             validate_config(cfg)
+
+    def test_gap_k_ignored_by_quantum_steady_warns(self):
+        base = {"model": {"V": -5.0, "g": 1.0, "p": 1.0, "N": 10},
+                "options": {"gap_k": 16}, "rng_seed": 1}
+        with pytest.warns(UserWarning, match="gap_k: ignored for task quantum-steady"):
+            cfg = validate_config({"task": "quantum-steady", **base})
+        assert cfg.sweep_opts.gap_k == 16  # still accepted
+        # the metadata it writes reloads without the key, and so without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert "gap_k" not in resolved_dict(cfg)["options"]
+            validate_config(resolved_dict(cfg))
+            assert validate_config({"task": "quantum-gap", **base}).sweep_opts.gap_k == 16
 
     def test_defaults_materialized(self):
         cfg = validate_config({"task": "boundaries", "model": {}, "rng_seed": 1})

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from dissipative_ising import (
     InsufficientDataError,
@@ -19,7 +20,13 @@ from dissipative_ising import (
     jacobian,
     settle,
 )
-from dissipative_ising.meanfield import ROOT_TOL, _jacobian_many, _rhs_many
+from dissipative_ising.meanfield import (
+    ROOT_TOL,
+    _capture_region,
+    _jacobian_many,
+    _ode_rhs,
+    _rhs_many,
+)
 from newton_oracle import newton_fixed_points
 
 
@@ -337,6 +344,107 @@ class TestTrajectory:
             integrate_trajectory([0, 0, 1], prm, -1.0)
         with pytest.raises(ValueError):
             integrate_trajectory([0, 0, 1], prm, 10.0, rel_tol=1e-2)
+
+
+def batched_rhs_solve(initial, params, t_end, rtol, atol, t_eval):
+    """DOP853 on the batched right-hand side, as the integrators once called it."""
+    return solve_ivp(
+        lambda _t, y: _rhs_many(y[None, :], params)[0],
+        (0.0, float(t_end)),
+        np.asarray(initial, dtype=float),
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        t_eval=t_eval,
+    )
+
+
+class TestIntegratorRhs:
+    """The integrators' scalar right-hand side gives the batched floats exactly."""
+
+    def test_equals_batched_rhs(self):
+        rng = np.random.default_rng(23)
+        cases = [(random_params(rng), rng.normal(size=3)) for _ in range(300)]
+        cases += [
+            (random_params(rng, p=p), rng.uniform(-1, 1, size=3))
+            for p in (0.0, 1.0) for _ in range(20)
+        ]
+        cases += [(ModelParams(V=-5, g=0, p=0.3), np.array([0.0, 0.0, -1.0]))]
+        for prm, s in cases:
+            scalar = np.asarray(_ode_rhs(prm)(0.0, s), dtype=float)
+            assert scalar.tolist() == _rhs_many(s[None, :], prm)[0].tolist()
+
+    def test_settle_unchanged(self):
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            prm = random_params(rng)
+            s0 = rng.normal(size=3)
+            s0 /= np.linalg.norm(s0)
+            ref = batched_rhs_solve(s0, prm, 50.0, 1e-12, 1e-14, [50.0])
+            assert np.array_equal(settle(s0, prm, 50.0), ref.y[:, -1])
+
+    def test_trajectory_unchanged(self):
+        prm = ModelParams(V=-5, g=3, p=1)
+        traj = integrate_trajectory([0, 0, 1], prm, 20.0)
+        ref = batched_rhs_solve([0, 0, 1], prm, 20.0, 1e-10, 1e-12, np.linspace(0.0, 20.0, 2000))
+        assert np.array_equal(traj.times, ref.t)
+        assert np.array_equal(traj.states, ref.y.T)
+
+    def test_continuation_unchanged(self):
+        base = ModelParams(V=-5, g=-1, p=0.6)
+        path = [base.with_value("p", float(p)) for p in np.linspace(0.6, 1.0, 5)]
+        branch = continuation_sweep(path, [0, 0, -1], settle_time=60.0)
+        state = np.array([0.0, 0.0, -1.0])
+        for prm, pt in zip(path, branch):
+            state = batched_rhs_solve(state, prm, 60.0, 1e-12, 1e-14, [60.0]).y[:, -1]
+            assert np.array_equal(pt.state, state)
+
+
+class TestCapture:
+    GRID = list(itertools.product(
+        (-5.0, -1.0, -0.3, 2.0),
+        (-3.0, -1.0, -0.5, 0.0, 0.5, 1.5),
+        (0.0, 0.2, 0.5, 0.77, 0.9, 1.0),
+    ))
+
+    def test_lyapunov_decreases_on_region_boundary(self):
+        # d(e^T P e)/dt = 2 e^T P f(x* + e) < 0 wherever e^T P e = c
+        rng = np.random.default_rng(31)
+        checked = 0
+        for v, g, p in self.GRID:
+            prm = ModelParams(V=v, g=g, p=p)
+            for fp in find_fixed_points(prm):
+                if not fp.stable:
+                    continue
+                lyap, level = _capture_region(fp, prm)
+                u = rng.normal(size=(200, 3))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                # P = L L^T, so e = sqrt(c) L^-T u has e^T P e = c
+                chol = np.linalg.cholesky(lyap)
+                e = math.sqrt(level) * np.linalg.solve(chol.T, u.T).T
+                assert np.einsum("ni,ij,nj->n", e, lyap, e) == pytest.approx(level, rel=1e-9)
+                flow = np.array([bloch_rhs(fp.state + ei, prm) for ei in e])
+                rate = 2.0 * np.einsum("ni,ij,nj->n", e, lyap, flow)
+                assert (rate < 0.0).all(), (v, g, p, fp.state)
+                checked += 1
+        assert checked >= 100
+
+    def test_capture_returns_root_state(self):
+        prm = ModelParams(V=-5, g=1, p=1)
+        stable = [fp for fp in find_fixed_points(prm) if fp.stable]
+        end = settle([0, 0, -1], prm, 200.0, capture=stable)
+        assert np.array_equal(end, stable[0].state)
+        # the uncaptured flow ends at the same point
+        assert np.abs(settle([0, 0, -1], prm, 400.0) - end).max() < 1e-10
+        # a start inside the region returns at once
+        assert np.array_equal(settle(stable[0].state + 1e-9, prm, 1.0, capture=stable), end)
+
+    def test_no_capture_leaves_endpoint_unchanged(self):
+        # a limit cycle coexists with the stable point and takes the pole
+        prm = ModelParams(V=-5, g=1.5, p=1)
+        stable = [fp for fp in find_fixed_points(prm) if fp.stable]
+        s0 = [1e-3, 1e-3, -math.sqrt(1 - 2e-6)]
+        assert np.array_equal(settle(s0, prm, 50.0, capture=stable), settle(s0, prm, 50.0))
 
 
 class TestLimitCycle:
