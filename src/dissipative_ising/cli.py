@@ -68,16 +68,13 @@ def _fixed_point_rows(params: ModelParams, points) -> Table:
 
 
 def _run_mf_fixed_points(cfg: RunConfig) -> dict[str, Table]:
-    points = find_fixed_points(
-        cfg.model, n_seeds=cfg.fixed_points.n_seeds, rng_seed=cfg.rng_seed
-    )
-    return {"fixed_points": _fixed_point_rows(cfg.model, points)}
+    return {"fixed_points": _fixed_point_rows(cfg.model, find_fixed_points(cfg.model))}
 
 
 def _run_mf_evolve(cfg: RunConfig) -> dict[str, Table]:
     opts = cfg.evolve
     traj_table = Table(columns=["ic", "t", "X", "Y", "Z"])
-    cycle_table = Table(columns=["ic", "cycle_detected", "period", "z_amplitude"])
+    cycle_table = Table(columns=["ic", "cycle_detected", "period", "z_amplitude", "error"])
     for i, initial in enumerate(opts.initials):
         traj = integrate_trajectory(
             initial, cfg.model, opts.t_end, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol
@@ -85,13 +82,13 @@ def _run_mf_evolve(cfg: RunConfig) -> dict[str, Table]:
         for t, s in zip(traj.times, traj.states):
             traj_table.append(i, float(t), float(s[0]), float(s[1]), float(s[2]))
         try:
-            cycle = detect_limit_cycle(traj, opts.transient_fraction)
-        except InsufficientDataError:
-            cycle = None
+            cycle, error = detect_limit_cycle(traj, opts.transient_fraction), None
+        except InsufficientDataError as exc:
+            cycle, error = None, f"{type(exc).__name__}: {exc}"
         if cycle is None:
-            cycle_table.append(i, False, math.nan, math.nan)
+            cycle_table.append(i, False, math.nan, math.nan, error)
         else:
-            cycle_table.append(i, True, cycle.period, cycle.z_amplitude)
+            cycle_table.append(i, True, cycle.period, cycle.z_amplitude, error)
     return {"trajectory": traj_table, "limit_cycle": cycle_table}
 
 
@@ -130,13 +127,11 @@ def _sweep_tables(points, primary_name: str) -> dict[str, Table]:
 
 
 def _run_mf_sweep(cfg: RunConfig, primary_name: str) -> dict[str, Table]:
-    opts = cfg.sweep_opts
+    opts = cfg.options
     points = phase_diagram(
         cfg.grid,
         solver="mf",
         workers=cfg.workers,
-        n_seeds=opts.n_seeds,
-        rng_seed=cfg.rng_seed,
         select_branch=opts.select_branch and primary_name == "phase_diagram",
         detect_cycles=opts.detect_cycles,
         settle_time=opts.settle_time,
@@ -146,18 +141,17 @@ def _run_mf_sweep(cfg: RunConfig, primary_name: str) -> dict[str, Table]:
 
 def _run_quantum_sweep(cfg: RunConfig, compute_gap: bool) -> dict[str, Table]:
     name = "gap" if compute_gap else "steady_state"
-    opts = cfg.sweep_opts
+    gap_k = cfg.options.gap_k if compute_gap else None
     if cfg.grid is None:
         # a single point is a one-row sweep whose failure ends the run
-        points = [quantum_point((0, 0), cfg.model, compute_gap, opts.gap_k)]
+        points = [quantum_point((0, 0), cfg.model, compute_gap, gap_k)]
     else:
         points = phase_diagram(
             cfg.grid,
             solver="quantum",
             workers=cfg.workers,
-            rng_seed=cfg.rng_seed,
             compute_gap=compute_gap,
-            gap_k=opts.gap_k,
+            gap_k=gap_k,
         )
     return _sweep_tables(points, name)
 
@@ -289,7 +283,6 @@ def run(cfg: RunConfig, output_dir: str) -> list[str]:
     write_metadata(
         meta_path,
         config=resolved_dict(cfg),
-        rng_seed=cfg.rng_seed,
         timings={
             "solve_s": t_solve,
             "write_s": t_write,

@@ -81,7 +81,6 @@ class LiouvillianMatrix:
     matrix: sp.csr_matrix
     basis: DickeBasis
     params: ModelParams
-    stacking: str = "column"
 
     @property
     def dim(self) -> int:
@@ -248,14 +247,9 @@ def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
     return SteadyStateResult(rho=rho, residual=residual, zero_multiplicity=1)
 
 
-def _spectral_result(
-    vals: np.ndarray,
-    vecs: np.ndarray,
-    liouv: LiouvillianMatrix,
-    zero_tol: float | None = None,
-) -> SpectralResult:
+def _spectral_result(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatrix) -> SpectralResult:
     """Gap, zero mode and sorted eigenvalues from (part of) the spectrum."""
-    tol = 1e-10 * max(liouv.scale, 1.0) if zero_tol is None else float(zero_tol)
+    tol = 1e-10 * max(liouv.scale, 1.0)  # |lambda| below this counts as zero
     moduli = np.abs(vals)
     near_zero = np.flatnonzero(moduli < tol)
     multiplicity = int(near_zero.size)
@@ -291,19 +285,15 @@ def _spectral_result(
     )
 
 
-def liouvillian_gap(
-    liouv: LiouvillianMatrix,
-    k: int = 12,
-    zero_tol: float | None = None,
-) -> SpectralResult:
+def liouvillian_gap(liouv: LiouvillianMatrix, k: int = 12) -> SpectralResult:
     """Liouvillian spectrum near zero and the asymptotic decay rate.
 
     The gap is |Re| of the nonzero eigenvalue with the largest real
-    part, after excluding eigenvalues with |lambda| < ``zero_tol``
-    (default 1e-10 times the max-abs matrix entry).  The solver follows
-    from N alone: up to ``DENSE_N_MAX`` spins the full spectrum comes
-    from a dense eigendecomposition; above it, shift-invert Arnoldi
-    returns the ``k`` eigenvalues nearest zero.  The steady state and
+    part, after excluding eigenvalues with |lambda| below 1e-10 times
+    the max-abs matrix entry.  The solver follows from N alone: up to
+    ``DENSE_N_MAX`` spins the full spectrum comes from a dense
+    eigendecomposition; above it, shift-invert Arnoldi returns the
+    ``k`` eigenvalues nearest zero.  The steady state and
     zero multiplicity come from the zero mode of the same eigensolve.
     In a gapless/degenerate window the zero multiplicity is reported
     rather than failing.
@@ -318,7 +308,7 @@ def liouvillian_gap(
         vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
     else:
         vals, vecs = _eigs_near_zero(liouv.matrix, k=k, scale=liouv.scale)
-    return _spectral_result(vals, vecs, liouv, zero_tol)
+    return _spectral_result(vals, vecs, liouv)
 
 
 def propagate(

@@ -27,7 +27,7 @@ Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -68,6 +68,8 @@ _SPHERE_TOL = 1e-8
 _REAL_ROOT_TOL = 1e-6
 # Newton steps that polish each candidate root.
 _POLISH_STEPS = 3
+# Integrator tolerances of settle and continuation_sweep.
+_SETTLE_RTOL, _SETTLE_ATOL = 1e-12, 1e-14
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,6 @@ class ModelParams:
                 raise ValueError(f"N must be a positive integer, got {self.N!r}")
             if self.N < 1:
                 raise ValueError(f"N must be >= 1, got {self.N}")
-
-    def with_value(self, name: str, value) -> "ModelParams":
-        """Copy with one field replaced (used by sweeps)."""
-        return replace(self, **{name: value})
 
 
 @dataclass(frozen=True)
@@ -418,13 +416,7 @@ def _polish(states: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.nda
     return best, best_res
 
 
-def find_fixed_points(
-    params: ModelParams,
-    n_seeds: int = 200,
-    rng_seed=0,
-    root_tol: float = ROOT_TOL,
-    dedup_tol: float = DEDUP_TOL,
-) -> list[FixedPoint]:
+def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoint]:
     """Every isolated fixed point of the flow on the unit sphere, classified.
 
     The enumeration is exact and deterministic.  For 0 < p < 1 and
@@ -436,14 +428,13 @@ def find_fixed_points(
     where the marginal line Z = 0, Y = Gamma/(8g) meets the sphere; at
     g = 0 the poles plus the equator points where (1-p)(V/2) X Y =
     Gamma/8.  Each candidate is polished by a few Newton steps and kept
-    if its max-abs residual is at most ``root_tol`` and it lies on the
-    unit sphere; candidates closer than ``dedup_tol`` are merged.  Roots
+    if its max-abs residual is at most ``ROOT_TOL`` and it lies on the
+    unit sphere; candidates closer than ``DEDUP_TOL`` are merged.  Roots
     off the sphere (possible only at Z = 0, since d(r^2)/dt =
     (Gamma/4) Z (r^2 - 1)) and continua of roots are not listed.
 
-    ``n_seeds`` and ``rng_seed`` are unused; they remain so that
-    existing configs, metadata files and callers keep working, and
-    ``n_seeds`` is still validated.
+    ``n_seeds`` is unused but still checked to be >= 1; it goes once
+    the benchmark's tracing no longer reads it.
 
     Returns stable points first, then the rest, each group ordered by
     (Z, X, Y).  An empty list is a legal result (no roots on the sphere).
@@ -454,26 +445,19 @@ def find_fixed_points(
     states, res = _polish(cands[np.isfinite(cands).all(axis=1)], params)
     on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
     unique: list[tuple[np.ndarray, float]] = []
-    for i in np.flatnonzero(on_sphere & (res <= root_tol)):
+    for i in np.flatnonzero(on_sphere & (res <= ROOT_TOL)):
         st, r = states[i], res[i]
         for k, (u_state, u_res) in enumerate(unique):
-            if np.linalg.norm(st - u_state) < dedup_tol:
+            if np.linalg.norm(st - u_state) < DEDUP_TOL:
                 if r < u_res:
                     unique[k] = (st, r)
                 break
         else:
             unique.append((st, r))
 
-    points = [classify_stability(st, params, root_tol=10 * root_tol) for st, _ in unique]
+    points = [classify_stability(st, params, root_tol=10 * ROOT_TOL) for st, _ in unique]
     points.sort(key=lambda fp: (not fp.stable, fp.state[2], fp.state[0], fp.state[1]))
     return points
-
-
-def _validate_tols(rel_tol: float, abs_tol: float):
-    if not 0.0 < rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
-    if not 0.0 < abs_tol <= 1e-3:
-        raise ValueError(f"abs_tol must be in (0, 1e-3], got {abs_tol}")
 
 
 def integrate_trajectory(
@@ -482,22 +466,22 @@ def integrate_trajectory(
     t_end: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
-    n_eval: int | None = None,
 ) -> Trajectory:
     """Adaptive integration of the Bloch equations from ``initial``.
 
     Uses an 8th-order explicit Runge-Kutta scheme; with the default
     tolerances the unit-sphere norm drifts by less than 1e-8 over
     t <= 100/Gamma for on-sphere initial data.  Output is sampled on a
-    uniform grid of ``n_eval`` points (default 100 per time unit,
-    clipped to [2000, 50000]) so downstream peak detection sees a
-    regular sampling.
+    uniform grid, 100 points per time unit clipped to [2000, 50000], so
+    downstream peak detection sees a regular sampling.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    _validate_tols(rel_tol, abs_tol)
-    if n_eval is None:
-        n_eval = int(min(50_000, max(2_000, 100 * t_end)))
+    if not 0.0 < rel_tol <= 1e-3:
+        raise ValueError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
+    if not 0.0 < abs_tol <= 1e-3:
+        raise ValueError(f"abs_tol must be in (0, 1e-3], got {abs_tol}")
+    n_eval = int(min(50_000, max(2_000, 100 * t_end)))
     initial = np.asarray(initial, dtype=float)
     sol = solve_ivp(
         _ode_rhs(params),
@@ -566,11 +550,11 @@ def settle(
     initial,
     params: ModelParams,
     settle_time: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
     capture=(),
 ) -> np.ndarray:
     """Endpoint of an integration over ``settle_time`` (no trajectory kept).
+
+    The integration runs at rtol 1e-12 and atol 1e-14.
 
     ``capture`` lists stable fixed points of ``params``.  If the
     trajectory starts in or enters the certified capture region of one
@@ -581,7 +565,6 @@ def settle(
     """
     if settle_time <= 0.0:
         raise ValueError(f"settle_time must be positive, got {settle_time}")
-    _validate_tols(rel_tol, abs_tol)
     initial = np.asarray(initial, dtype=float)
     targets, events = [], []
     for fp in capture:
@@ -597,8 +580,8 @@ def settle(
         (0.0, float(settle_time)),
         initial,
         method="DOP853",
-        rtol=rel_tol,
-        atol=abs_tol,
+        rtol=_SETTLE_RTOL,
+        atol=_SETTLE_ATOL,
         t_eval=[float(settle_time)],
         events=events or None,
     )
@@ -684,14 +667,12 @@ def continuation_sweep(
     params_path: list[ModelParams],
     initial,
     settle_time: float = 200.0,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
 ) -> list[ContinuationPoint]:
     """Follow a steady-state branch along a parameter path.
 
-    At each station the flow is integrated for ``settle_time`` starting
-    from the previous converged state (the first station starts from
-    ``initial``); the endpoint is recorded together with a convergence
+    At each station the flow is settled (see :func:`settle`) for
+    ``settle_time`` starting from the previous converged state (the
+    first station starts from ``initial``); the endpoint is recorded together with a convergence
     flag (max-abs residual below 1e-8).  Consecutive path entries must
     differ in exactly one of V, g, p, Gamma.
     """
@@ -707,7 +688,7 @@ def continuation_sweep(
     state = np.asarray(initial, dtype=float)
     branch: list[ContinuationPoint] = []
     for params in params_path:
-        state = settle(state, params, settle_time, rel_tol=rel_tol, abs_tol=abs_tol)
+        state = settle(state, params, settle_time)
         residual = float(np.abs(bloch_rhs(state, params)).max())
         branch.append(
             ContinuationPoint(

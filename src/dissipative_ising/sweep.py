@@ -182,9 +182,9 @@ def _detect_cycle_from(state, params: ModelParams) -> bool:
 
 
 def _mf_point(task) -> PhasePoint:
-    (index, params, n_seeds, select_branch, detect_cycles, settle_time) = task
+    (index, params, select_branch, detect_cycles, settle_time) = task
     try:
-        points = find_fixed_points(params, n_seeds=n_seeds)
+        points = find_fixed_points(params)
         stable = [fp for fp in points if fp.stable]
         selected_z = math.nan
         limit_cycle = False
@@ -225,8 +225,8 @@ def quantum_point(index, params: ModelParams, compute_gap: bool, k: int) -> Phas
     """Quantum steady state, and optionally the gap, at one grid point.
 
     The magnetization comes from ``steady_state``, or with
-    ``compute_gap`` from the zero mode of the ``k``-mode gap eigensolve.
-    Solver failures raise.
+    ``compute_gap`` from the zero mode of the ``k``-mode gap eigensolve
+    (``k`` is unused without it).  Solver failures raise.
     """
     liouv = build_liouvillian(params, build_basis(params.N))
     if compute_gap:
@@ -286,8 +286,6 @@ def phase_diagram(
     grid: GridSpec,
     solver: str = "mf",
     workers: int = 1,
-    n_seeds: int = 200,
-    rng_seed: int = 0,
     select_branch: bool = True,
     detect_cycles: bool = True,
     settle_time: float = 200.0,
@@ -301,12 +299,12 @@ def phase_diagram(
     branch reachable from the south pole, and a limit-cycle flag where
     the pole trajectory does not settle; when the cycle check has too
     little trajectory to decide, the row's ``error`` says so and its
-    other columns stand.  ``n_seeds`` and ``rng_seed`` are unused and
-    kept for existing callers and configs.  ``workers`` is capped at
-    the number of CPUs and of grid points.  The quantum solver checks
-    every N against ``liouville.N_LIMIT`` before any solve, then runs
+    other columns stand.  ``workers`` is capped at the number of CPUs
+    and of grid points.  The quantum solver checks every N against
+    ``liouville.N_LIMIT`` before any solve, then runs
     :func:`quantum_point` at each point: the steady-state magnetization
-    and, with ``compute_gap``, the Liouvillian gap.  Rows come back in
+    and, with ``compute_gap``, the Liouvillian gap from ``gap_k``
+    modes.  Rows come back in
     row-major grid order at any worker count.
     """
     if workers < 1:
@@ -315,7 +313,7 @@ def phase_diagram(
     indices = list(_grid_indices(grid))
     if solver == "mf":
         tasks = [
-            (idx, prm, n_seeds, select_branch, detect_cycles, settle_time)
+            (idx, prm, select_branch, detect_cycles, settle_time)
             for idx, prm in zip(indices, params_list)
         ]
         return _run_tasks(_mf_point, tasks, workers)
@@ -336,15 +334,12 @@ def phase_diagram(
 def multistability_map(
     grid: GridSpec,
     workers: int = 1,
-    n_seeds: int = 200,
-    rng_seed: int = 0,
     detect_cycles: bool = True,
 ) -> list[PhasePoint]:
     """Stable-solution counts over a (g, p) grid at fixed V.
 
     Branch selection is skipped (only counts and cycle flags matter),
-    which keeps large scans cheap.  ``n_seeds`` and ``rng_seed`` are
-    unused, as in :func:`phase_diagram`.
+    which keeps large scans cheap.
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:
@@ -353,8 +348,6 @@ def multistability_map(
         grid,
         solver="mf",
         workers=workers,
-        n_seeds=n_seeds,
-        rng_seed=rng_seed,
         select_branch=False,
         detect_cycles=detect_cycles,
     )

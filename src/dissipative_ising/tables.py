@@ -51,7 +51,7 @@ def write_table(table: Table, path) -> None:
             writer.writerow([format_cell(v) for v in row])
 
 
-def write_metadata(path, config: dict, rng_seed: int, timings: dict, outputs: list[str],
+def write_metadata(path, config: dict, timings: dict, outputs: list[str],
                    tool_name: str, tool_version: str) -> None:
     """Write the run manifest.
 
@@ -60,7 +60,6 @@ def write_metadata(path, config: dict, rng_seed: int, timings: dict, outputs: li
     """
     payload = {
         "tool": {"name": tool_name, "version": tool_version},
-        "rng_seed": rng_seed,
         "config": config,
         "timings": timings,
         "outputs": outputs,

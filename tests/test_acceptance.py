@@ -42,8 +42,8 @@ def report(num, text):
     print(f"\nACCEPTANCE {num:02d} PASS - {text}")
 
 
-def stable_points(params, n_seeds=200, rng_seed=0):
-    return [f for f in find_fixed_points(params, n_seeds, rng_seed) if f.stable]
+def stable_points(params):
+    return [f for f in find_fixed_points(params) if f.stable]
 
 
 def trace_distance(a, b):
@@ -54,7 +54,7 @@ def test_01_closed_form_p1_agreement():
     t0 = time.perf_counter()
     for i, g in enumerate(np.linspace(-2.4, 2.4, 100)):
         prm = ModelParams(V=-5, g=float(g), p=1)
-        stable = stable_points(prm, 200, rng_seed=i)
+        stable = stable_points(prm)
         assert len(stable) == 1, f"expected one stable point at g={g}, got {len(stable)}"
         assert np.abs(stable[0].state - analytic_p1(prm)).max() < 1e-8
     elapsed = time.perf_counter() - t0
@@ -65,7 +65,7 @@ def test_01_closed_form_p1_agreement():
 def test_02_p1_phase_boundary_bracket():
     target = math.sqrt(16 * 25 + 1) / 8  # 2.50312
     grid = np.round(np.arange(2.45, 2.5601, 0.01), 10)
-    counts = [len(stable_points(ModelParams(V=-5, g=float(g), p=1), 200, 7)) for g in grid]
+    counts = [len(stable_points(ModelParams(V=-5, g=float(g), p=1))) for g in grid]
     assert counts[0] == 1 and counts[-1] == 0
     flips = [i for i in range(len(grid) - 1) if counts[i] == 1 and counts[i + 1] == 0]
     assert len(flips) == 1
@@ -77,7 +77,7 @@ def test_02_p1_phase_boundary_bracket():
 
 def _fm_window_markers(v, g):
     """(has stable ordered point, pole is stable) at p = 0."""
-    pts = find_fixed_points(ModelParams(V=v, g=float(g), p=0), 200, rng_seed=5)
+    pts = find_fixed_points(ModelParams(V=v, g=float(g), p=0))
     ordered = any(f.stable and abs(f.state[2] + 1.0) > 1e-3 for f in pts)
     pole = any(f.stable and abs(f.state[2] + 1.0) <= 1e-3 for f in pts)
     return ordered, pole
@@ -153,7 +153,7 @@ def test_05_jacobian_oracle():
 
 def test_06_limit_cycle_regime():
     prm = ModelParams(V=-5, g=3, p=1)
-    assert len(stable_points(prm, 200, 1)) == 0
+    assert len(stable_points(prm)) == 0
     cycles = []
     for ic in ([0, 0, 1], [0, 1, 0], [1, 0, 0]):
         traj = integrate_trajectory(ic, prm, 200.0)
@@ -259,8 +259,7 @@ def test_10_tristability_exists():
     for sign in (+1, -1):
         lo, hi = sorted((sign * 0.5, sign * 0.9))
         grid = GridSpec(Axis("g", lo, hi, 9), Axis("p", 0.1, 0.9, 17), fixed)
-        points = multistability_map(grid, workers=8, n_seeds=300, rng_seed=10,
-                                    detect_cycles=False)
+        points = multistability_map(grid, workers=8, detect_cycles=False)
         best = max(best, max(pt.stable_count for pt in points))
         if best >= 3:
             break
@@ -306,8 +305,7 @@ def test_12_sweep_determinism(tmp_path):
             "axis1": {"name": "g", "min": -2.0, "max": 2.0, "count": 6},
             "axis2": {"name": "p", "min": 0.0, "max": 1.0, "count": 3},
         },
-        "options": {"n_seeds": 100, "settle_time": 150.0},
-        "rng_seed": 77,
+        "options": {"settle_time": 150.0},
     }
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))

@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import math
 import os
@@ -18,15 +19,20 @@ from dissipative_ising import (
     unvec,
     vec,
 )
+from dissipative_ising import cli, sweep
 from dissipative_ising.cli import main
 from dissipative_ising.config import (
     OUTPUT_DIR_ENV,
+    load_config,
     load_raw,
     resolved_dict,
     validate_config,
 )
-from dissipative_ising.errors import ConfigError
+from dissipative_ising.errors import ConfigError, SolverError
+from dissipative_ising.liouville import N_LIMIT
 from dissipative_ising.sweep import _quantum_point
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 from dissipative_ising.tables import Table, format_cell, write_table
 
 
@@ -45,7 +51,101 @@ BOUNDARIES_CFG = {
     "task": "boundaries",
     "model": {"Gamma": 1.0},
     "boundaries": {"V_min": -10.0, "V_max": -0.5, "count": 20},
-    "rng_seed": 3,
+}
+
+
+def parent_metadata(config):
+    """A metadata.json payload as earlier versions wrote it around ``config``."""
+    return {
+        "config": config,
+        "outputs": ["out.csv"],
+        "rng_seed": config["rng_seed"],
+        "timings": {"solve_s": 0.1, "total_s": 0.2, "write_s": 0.1},
+        "tool": {"name": "dissipative-ising", "version": "0.1.0"},
+    }
+
+
+# Metadata configs as earlier versions wrote them, every default
+# materialized, each with the retired paths it carries and the clean
+# config that describes the same run.
+PARENT_CONFIGS = {
+    "mf-fixed-points": (
+        {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65, "Gamma": 1.0},
+         "workers": 1, "rng_seed": 11, "output": {"format": "csv"},
+         "fixed_points": {"n_seeds": 200}},
+        ["rng_seed", "output.format", "fixed_points.n_seeds"],
+        {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65}},
+    ),
+    "mf-phase-diagram": (
+        {"task": "mf-phase-diagram", "model": {"V": -1.0, "g": 0.0, "p": 0.0, "Gamma": 1.0},
+         "workers": 2, "rng_seed": 7, "output": {"dir": "runs/pd", "format": "csv"},
+         "grid": {"axis1": {"name": "p", "min": 0.1, "max": 1.0, "count": 3},
+                  "axis2": {"name": "g", "min": -1.05, "max": 0.3, "count": 3}},
+         "options": {"n_seeds": 100, "select_branch": True, "detect_cycles": True,
+                     "settle_time": 150.0, "gap_k": 12}},
+        ["rng_seed", "output.format", "options.n_seeds", "options.gap_k"],
+        {"task": "mf-phase-diagram", "model": {"V": -1.0}, "workers": 2,
+         "output": {"dir": "runs/pd"},
+         "grid": {"axis1": {"name": "p", "min": 0.1, "max": 1.0, "count": 3},
+                  "axis2": {"name": "g", "min": -1.05, "max": 0.3, "count": 3}},
+         "options": {"settle_time": 150.0}},
+    ),
+    "multistability": (
+        {"task": "multistability", "model": {"V": -5.0, "g": 0.0, "p": 0.0, "Gamma": 1.0},
+         "workers": 1, "rng_seed": 8, "output": {"format": "csv"},
+         "grid": {"axis1": {"name": "g", "min": -1.5, "max": -0.1, "count": 4},
+                  "axis2": {"name": "p", "min": 0.0, "max": 1.0, "count": 5}},
+         "options": {"n_seeds": 300, "select_branch": True, "detect_cycles": False,
+                     "settle_time": 200.0, "gap_k": 12}},
+        ["rng_seed", "output.format", "options.n_seeds", "options.select_branch",
+         "options.gap_k"],
+        {"task": "multistability", "model": {"V": -5.0},
+         "grid": {"axis1": {"name": "g", "min": -1.5, "max": -0.1, "count": 4},
+                  "axis2": {"name": "p", "min": 0.0, "max": 1.0, "count": 5}},
+         "options": {"detect_cycles": False}},
+    ),
+    "quantum-steady": (
+        {"task": "quantum-steady", "model": {"V": -5.0, "g": 0.0, "p": 1.0, "Gamma": 1.0, "N": 10},
+         "workers": 1, "rng_seed": 10, "output": {"format": "csv"},
+         "grid": {"axis1": {"name": "g", "min": 0.1, "max": 2.4, "count": 4}},
+         "options": {"n_seeds": 200, "select_branch": True, "detect_cycles": True,
+                     "settle_time": 200.0}},
+        ["rng_seed", "output.format", "options.n_seeds", "options.select_branch",
+         "options.detect_cycles", "options.settle_time"],
+        {"task": "quantum-steady", "model": {"V": -5.0, "p": 1.0, "N": 10},
+         "grid": {"axis1": {"name": "g", "min": 0.1, "max": 2.4, "count": 4}}},
+    ),
+    "quantum-gap": (
+        {"task": "quantum-gap", "model": {"V": -5.0, "g": -1.0, "p": 0.8, "Gamma": 1.0, "N": 40},
+         "workers": 1, "rng_seed": 1110, "output": {"format": "csv"},
+         "options": {"n_seeds": 200, "select_branch": True, "detect_cycles": True,
+                     "settle_time": 200.0, "gap_k": 16}},
+        ["rng_seed", "output.format", "options.n_seeds", "options.select_branch",
+         "options.detect_cycles", "options.settle_time"],
+        {"task": "quantum-gap", "model": {"V": -5.0, "g": -1.0, "p": 0.8, "N": 40},
+         "options": {"gap_k": 16}},
+    ),
+    "hysteresis-mf": (
+        {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "p": 0.0, "Gamma": 1.0},
+         "workers": 1, "rng_seed": 1010, "output": {"dir": "runs/h", "format": "csv"},
+         "hysteresis": {"p_min": 0.6, "p_max": 1.0, "count": 9, "direction": "both",
+                        "solver": "mf", "settle_time": 100.0, "window": 40.0,
+                        "threshold": 0.05}},
+        ["rng_seed", "output.format", "hysteresis.window"],
+        {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0}, "output": {"dir": "runs/h"},
+         "hysteresis": {"p_min": 0.6, "count": 9, "settle_time": 100.0}},
+    ),
+    "hysteresis-quantum": (
+        {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "p": 0.0, "Gamma": 1.0, "N": 10},
+         "workers": 1, "rng_seed": 1010, "output": {"format": "csv"},
+         "hysteresis": {"p_min": 0.6, "p_max": 1.0, "count": 5, "direction": "up",
+                        "solver": "quantum", "settle_time": 200.0, "window": 20.0,
+                        "threshold": 0.05}},
+        ["rng_seed", "output.format", "hysteresis.settle_time"],
+        {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "N": 10},
+         "hysteresis": {"p_min": 0.6, "count": 5, "direction": "up", "solver": "quantum",
+                        "window": 20.0}},
+    ),
 }
 
 
@@ -79,31 +179,56 @@ class TestValidation:
         with pytest.raises(ConfigError, match="start < stop"):
             validate_config(cfg)
 
-    def test_gap_k_ignored_by_quantum_steady_warns(self):
-        base = {"model": {"V": -5.0, "g": 1.0, "p": 1.0, "N": 10},
-                "options": {"gap_k": 16}, "rng_seed": 1}
-        with pytest.warns(UserWarning, match="gap_k: ignored for task quantum-steady"):
-            cfg = validate_config({"task": "quantum-steady", **base})
-        assert cfg.sweep_opts.gap_k == 16  # still accepted
-        # the metadata it writes reloads without the key, and so without a warning
+    @pytest.mark.parametrize("kind", sorted(PARENT_CONFIGS))
+    def test_parent_metadata_drops_retired_keys(self, tmp_path, kind):
+        old, retired, clean = PARENT_CONFIGS[kind]
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps(parent_metadata(old), indent=2, sort_keys=True))
+        with pytest.warns(UserWarning) as record:
+            cfg = load_config(path)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert all(name in message for name in retired), message
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert "gap_k" not in resolved_dict(cfg)["options"]
-            validate_config(resolved_dict(cfg))
-            assert validate_config({"task": "quantum-gap", **base}).sweep_opts.gap_k == 16
+            assert cfg == validate_config(clean)
+            # the metadata written now carries no retired key and reloads silently
+            resolved = resolved_dict(cfg)
+            assert validate_config(resolved) == cfg
+        for name in retired:
+            block, _, key = name.rpartition(".")
+            assert key not in (resolved.get(block, {}) if block else resolved), name
+
+    def test_retired_names_are_checked_where_read(self):
+        model = {"V": -5.0, "g": -1.0, "N": 10}
+        with pytest.raises(ConfigError, match="options.gap_k"):
+            validate_config({"task": "quantum-gap", "model": model, "options": {"gap_k": 1}})
+        with pytest.raises(ConfigError, match="hysteresis.window"):
+            validate_config({"task": "hysteresis", "model": model,
+                             "hysteresis": {"solver": "quantum", "window": -1.0}})
+        # unread, the same key is dropped unchecked
+        with pytest.warns(UserWarning, match="hysteresis.window"):
+            cfg = validate_config({"task": "hysteresis", "model": model,
+                                   "hysteresis": {"window": -1.0}})
+        assert cfg.hysteresis.window == 40.0
+        with pytest.raises(ConfigError, match="options.n_seed: unknown key"):
+            validate_config({"task": "quantum-gap", "model": model, "options": {"n_seed": 1}})
+
+    def test_shipped_configs_validate_cleanly(self):
+        paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
+        assert len(paths) == 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in paths:
+                cfg = load_config(path)
+                assert validate_config(resolved_dict(cfg)) == cfg, path
 
     def test_defaults_materialized(self):
-        cfg = validate_config({"task": "boundaries", "model": {}, "rng_seed": 1})
+        cfg = validate_config({"task": "boundaries", "model": {}})
         resolved = resolved_dict(cfg)
         assert resolved["model"]["Gamma"] == 1.0
         assert resolved["workers"] == 1
         assert resolved["boundaries"]["count"] == 96
-
-    def test_seed_generated_and_recorded_when_omitted(self):
-        cfg = validate_config({"task": "boundaries", "model": {}})
-        assert isinstance(cfg.rng_seed, int)
-        assert not cfg.seed_was_given
-        assert resolved_dict(cfg)["rng_seed"] == cfg.rng_seed
 
 
 class TestWriteTable:
@@ -176,8 +301,6 @@ class TestCliRuns:
             {
                 "task": "mf-fixed-points",
                 "model": {"V": -5.0, "g": 1.0, "p": 1.0},
-                "fixed_points": {"n_seeds": 200},
-                "rng_seed": 11,
             },
         )
         out = tmp_path / "out"
@@ -198,14 +321,30 @@ class TestCliRuns:
                 "task": "mf-evolve",
                 "model": {"V": -5.0, "g": 3.0, "p": 1.0},
                 "evolve": {"initials": [[0, 0, 1], [0, 1, 0]], "t_end": 120.0},
-                "rng_seed": 11,
             },
         )
         out = tmp_path / "out"
         assert main([cfg_path, "--output-dir", str(out)]) == 0
         cycles = read_csv(out / "limit_cycle.csv")
-        assert cycles[0] == ["ic", "cycle_detected", "period", "z_amplitude"]
+        assert cycles[0] == ["ic", "cycle_detected", "period", "z_amplitude", "error"]
         assert [r[1] for r in cycles[1:]] == ["1", "1"]
+        assert [r[4] for r in cycles[1:]] == ["", ""]
+
+    def test_mf_evolve_short_window_records_error(self, tmp_path):
+        # too short a window to tell: the reason is written, not swallowed
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {
+                "task": "mf-evolve",
+                "model": {"V": -5.0, "g": 3.0, "p": 1.0},
+                "evolve": {"t_end": 5.0, "transient_fraction": 0.9},
+            },
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 0
+        cycles = read_csv(out / "limit_cycle.csv")
+        assert cycles[1][:4] == ["0", "0", "nan", "nan"]
+        assert cycles[1][4].startswith("InsufficientDataError: ")
 
     def test_metadata_round_trip(self, tmp_path):
         cfg_path = write_yaml(
@@ -214,8 +353,6 @@ class TestCliRuns:
                 "task": "mf-phase-diagram",
                 "model": {"V": -5.0, "p": 1.0},
                 "grid": {"axis1": {"name": "g", "min": 0.4, "max": 1.2, "count": 3}},
-                "options": {"n_seeds": 80},
-                "rng_seed": 21,
             },
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -228,7 +365,7 @@ class TestCliRuns:
             out2 / "stable_points.csv"
         ).read_bytes()
         meta = json.loads((out1 / "metadata.json").read_text())
-        assert meta["rng_seed"] == 21
+        assert "rng_seed" not in meta and "rng_seed" not in meta["config"]
         assert meta["config"]["model"]["Gamma"] == 1.0
         assert meta["tool"]["name"] == "dissipative-ising"
         assert set(meta["timings"]) == {"solve_s", "write_s", "total_s"}
@@ -239,7 +376,6 @@ class TestCliRuns:
             {
                 "task": "quantum-steady",
                 "model": {"V": -5.0, "g": 1.0, "p": 1.0, "N": 10},
-                "rng_seed": 2,
             },
         )
         out = tmp_path / "out"
@@ -252,10 +388,8 @@ class TestCliRuns:
                                               ("quantum-gap", "gap")])
     def test_quantum_single_point_matches_sweep_point(self, tmp_path, task, table):
         model = {"V": -5.0, "g": -1.0, "p": 0.77, "Gamma": 1.0, "N": 10}
-        cfg_path = write_yaml(
-            tmp_path / "cfg.yaml",
-            {"task": task, "model": model, "options": {"gap_k": 12}, "rng_seed": 2},
-        )
+        options = {"options": {"gap_k": 12}} if task == "quantum-gap" else {}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", {"task": task, "model": model, **options})
         out = tmp_path / "out"
         assert main([cfg_path, "--output-dir", str(out)]) == 0
         rows = read_csv(out / f"{table}.csv")
@@ -277,7 +411,7 @@ class TestCliRuns:
         model = {"V": -5.0, "g": -1.0, "p": 0.6, "N": 8}
         cfg_path = write_yaml(
             tmp_path / "cfg.yaml",
-            {"task": "quantum-evolve", "model": model, "quantum_evolve": opts, "rng_seed": 2},
+            {"task": "quantum-evolve", "model": model, "quantum_evolve": opts},
         )
         out = tmp_path / "out"
         assert main([cfg_path, "--output-dir", str(out)]) == 0
@@ -324,17 +458,35 @@ class TestExitCodes:
         cfg_path = write_yaml(tmp_path / "cfg.yaml", BOUNDARIES_CFG)
         assert main([cfg_path, "--workers", "0"]) == 2
 
-    def test_solver_error_is_3(self, tmp_path, capsys):
+    def test_solver_error_is_3(self, tmp_path, capsys, monkeypatch):
+        def singular(_liouv):
+            raise SolverError("bordered steady-state system is singular")
+
+        monkeypatch.setattr(sweep, "steady_state", singular)
         cfg_path = write_yaml(
             tmp_path / "cfg.yaml",
-            {
-                "task": "quantum-steady",
-                "model": {"V": -5.0, "g": 1.0, "p": 1.0, "N": 999},
-                "rng_seed": 2,
-            },
+            {"task": "quantum-steady", "model": {"V": -5.0, "g": 1.0, "p": 1.0, "N": 4}},
         )
         assert main([cfg_path, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "solver error" in capsys.readouterr().err
+        assert "solver error: SolverError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, block", [
+        ("quantum-steady", {}),
+        ("quantum-gap", {"grid": {"axis1": {"name": "g", "min": 0.5, "max": 1.0, "count": 2}}}),
+        ("quantum-evolve", {}),
+        ("hysteresis", {"hysteresis": {"solver": "quantum"}}),
+    ])
+    def test_n_above_limit_is_config_error(self, tmp_path, capsys, monkeypatch, task, block):
+        def no_solve(_cfg):
+            raise AssertionError("the run was started")
+
+        monkeypatch.setattr(cli, "execute", no_solve)
+        model = {"V": -5.0, "g": 1.0, "p": 1.0, "N": N_LIMIT + 1}
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", {"task": task, "model": model, **block})
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 2
+        assert f"model.N: quantum solvers are capped at N={N_LIMIT}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_is_4(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", BOUNDARIES_CFG)
@@ -349,6 +501,12 @@ class TestLoadRaw:
         path = tmp_path / "metadata.json"
         path.write_text(json.dumps(payload))
         assert load_raw(path) == {"task": "boundaries", "model": {}}
+
+    def test_json_exponent_floats_are_numbers(self, tmp_path):
+        # metadata files hold floats such as 1e-12, which YAML 1.1 reads as strings
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps({"config": {"task": "mf-evolve", "evolve": {"abs_tol": 1e-12}}}))
+        assert load_raw(path)["evolve"]["abs_tol"] == 1e-12
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

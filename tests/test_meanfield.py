@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,17 +233,17 @@ class TestClassifyStability:
 class TestFindFixedPoints:
     def test_p1_unique_stable_matches_closed_form(self):
         prm = ModelParams(V=-5, g=1, p=1)
-        stable = [f for f in find_fixed_points(prm, 200, rng_seed=0) if f.stable]
+        stable = [f for f in find_fixed_points(prm) if f.stable]
         assert len(stable) == 1
         assert np.abs(stable[0].state - analytic_p1(prm)).max() < 1e-8
 
     def test_p1_unstable_region_has_no_stable_points(self):
-        fps = find_fixed_points(ModelParams(V=-5, g=3, p=1), 200, rng_seed=0)
+        fps = find_fixed_points(ModelParams(V=-5, g=3, p=1))
         assert sum(f.stable for f in fps) == 0
 
     def test_p0_stable_set_is_fm_pair(self):
         prm = ModelParams(V=-5, g=1, p=0)
-        stable = [f for f in find_fixed_points(prm, 200, rng_seed=0) if f.stable]
+        stable = [f for f in find_fixed_points(prm) if f.stable]
         assert len(stable) == 2
         analytic = {lab: s for s, lab in analytic_p0(prm)}
         for fp in stable:
@@ -255,16 +256,16 @@ class TestFindFixedPoints:
 
     def test_deterministic_given_seed(self):
         prm = ModelParams(V=-5, g=0.7, p=0.3)
-        a = find_fixed_points(prm, 150, rng_seed=9)
-        b = find_fixed_points(prm, 150, rng_seed=9)
+        a = find_fixed_points(prm, 150)
+        b = find_fixed_points(prm, 150)
         assert len(a) == len(b)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.state, fb.state)
 
     def test_seed_arguments_unused(self):
         prm = ModelParams(V=-5, g=-0.4, p=0.65)
-        a = find_fixed_points(prm, 1, rng_seed=0)
-        b = find_fixed_points(prm, 400, rng_seed=123)
+        a = find_fixed_points(prm, 1)
+        b = find_fixed_points(prm, 400)
         assert len(a) == len(b) == 6
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.state, fb.state)
@@ -310,8 +311,8 @@ class TestFindFixedPoints:
     def test_reflection_symmetry_at_p1(self):
         # stable-point count and |Z| are invariant under g -> -g at p = 1
         for g in (0.3, 1.1, 2.0, 2.45, 2.7):
-            plus = [f for f in find_fixed_points(ModelParams(V=-5, g=g, p=1), 150, 3) if f.stable]
-            minus = [f for f in find_fixed_points(ModelParams(V=-5, g=-g, p=1), 150, 3) if f.stable]
+            plus = [f for f in find_fixed_points(ModelParams(V=-5, g=g, p=1)) if f.stable]
+            minus = [f for f in find_fixed_points(ModelParams(V=-5, g=-g, p=1)) if f.stable]
             assert len(plus) == len(minus)
             z_plus = sorted(abs(f.state[2]) for f in plus)
             z_minus = sorted(abs(f.state[2]) for f in minus)
@@ -392,7 +393,7 @@ class TestIntegratorRhs:
 
     def test_continuation_unchanged(self):
         base = ModelParams(V=-5, g=-1, p=0.6)
-        path = [base.with_value("p", float(p)) for p in np.linspace(0.6, 1.0, 5)]
+        path = [replace(base, p=float(p)) for p in np.linspace(0.6, 1.0, 5)]
         branch = continuation_sweep(path, [0, 0, -1], settle_time=60.0)
         state = np.array([0.0, 0.0, -1.0])
         for prm, pt in zip(path, branch):
@@ -478,7 +479,7 @@ class TestContinuation:
         start = np.array([0.0, 0.0, -1.0])
         for sign in (+1.0, -1.0):
             g_values = sign * np.linspace(0.0, 2.3, 13)
-            path = [base.with_value("g", float(g)) for g in g_values]
+            path = [replace(base, g=float(g)) for g in g_values]
             branch = continuation_sweep(path, start, settle_time=300.0)
             for pt in branch:
                 ref = analytic_p1(pt.params)
@@ -498,7 +499,7 @@ class TestContinuation:
     def test_hysteresis_branches_disagree(self):
         base = ModelParams(V=-5, g=-1, p=0)
         ps = np.linspace(0.6, 1.0, 11)
-        path_up = [base.with_value("p", float(p)) for p in ps]
+        path_up = [replace(base, p=float(p)) for p in ps]
         up = continuation_sweep(path_up, [0, 0, -1], settle_time=300.0)
         down = continuation_sweep(path_up[::-1], [0, 0, -1], settle_time=300.0)[::-1]
         dz = np.array([abs(u.state[2] - d.state[2]) for u, d in zip(up, down)])

@@ -53,14 +53,14 @@ class TestPhaseDiagram:
     def test_p1_row_boundary(self):
         # crossing |g| = sqrt(16 V^2 + 1)/8 = 2.50312 kills the stable point
         grid = GridSpec(Axis("g", 2.4, 2.6, 5), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, n_seeds=120, rng_seed=1, select_branch=False,
+        points = phase_diagram(grid, select_branch=False,
                                detect_cycles=False)
         counts = [pt.stable_count for pt in points]
         assert counts == [1, 1, 1, 0, 0]
 
     def test_unstable_region_flags_limit_cycle(self):
         grid = GridSpec(Axis("g", 2.9, 3.1, 2), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, n_seeds=120, rng_seed=1, settle_time=100.0)
+        points = phase_diagram(grid, settle_time=100.0)
         for pt in points:
             assert pt.stable_count == 0
             assert pt.limit_cycle
@@ -69,7 +69,7 @@ class TestPhaseDiagram:
     def test_selected_z_matches_closed_form(self):
         # the pole lies in the fixed point's basin across this g range
         grid = GridSpec(Axis("g", 0.4, 1.2, 3), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, n_seeds=120, rng_seed=1)
+        points = phase_diagram(grid)
         for pt in points:
             assert pt.selected_Z == pytest.approx(analytic_p1(pt.params)[2], abs=1e-6)
 
@@ -77,7 +77,7 @@ class TestPhaseDiagram:
         # at p=1, g=1.5 a limit cycle coexists with the stable point and
         # captures the pole, so branch selection reports the cycle instead
         grid = GridSpec(Axis("g", 1.5, 1.6, 2), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, n_seeds=120, rng_seed=1, settle_time=150.0)
+        points = phase_diagram(grid, settle_time=150.0)
         for pt in points:
             assert pt.stable_count == 1
             assert math.isnan(pt.selected_Z)
@@ -85,7 +85,7 @@ class TestPhaseDiagram:
 
     def test_p0_row_counts(self):
         grid = GridSpec(Axis("g", 0.5, 3.0, 2), None, ModelParams(V=-5, g=0, p=0))
-        points = phase_diagram(grid, n_seeds=150, rng_seed=2, select_branch=False,
+        points = phase_diagram(grid, select_branch=False,
                                detect_cycles=False)
         # g=0.5 inside the ordered window: the +/-X pair; g=3 outside: pole only
         assert points[0].stable_count == 2
@@ -122,8 +122,8 @@ class TestPhaseDiagram:
 
     def test_worker_determinism(self):
         grid = GridSpec(Axis("g", -2.0, 2.0, 3), Axis("p", 0.0, 1.0, 2), FIXED)
-        a = phase_diagram(grid, workers=1, n_seeds=80, rng_seed=5, settle_time=100.0)
-        b = phase_diagram(grid, workers=2, n_seeds=80, rng_seed=5, settle_time=100.0)
+        a = phase_diagram(grid, workers=1, settle_time=100.0)
+        b = phase_diagram(grid, workers=2, settle_time=100.0)
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             assert pa.index == pb.index
@@ -146,7 +146,7 @@ class TestPhaseDiagram:
 
         monkeypatch.setattr(sweep_module, "find_fixed_points", flaky)
         grid = GridSpec(Axis("g", 0.5, 1.5, 3), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, n_seeds=60, rng_seed=1, select_branch=False,
+        points = phase_diagram(grid, select_branch=False,
                                detect_cycles=False)
         assert [pt.error is not None for pt in points] == [False, True, False]
         assert points[1].stable_count == 0
@@ -200,7 +200,7 @@ class TestSelectionOracle:
         for v, p, g in self.GRID:
             prm = ModelParams(V=v, g=g, p=p)
             count, z, cycle, error = oracle_row(prm)
-            pt = sweep_module._mf_point(((0, 0), prm, 200, True, True, 200.0))
+            pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
             same_z = pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
             if (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error) and same_z:
                 continue
@@ -226,7 +226,7 @@ class TestMultistability:
 
     def test_tristable_point_found(self):
         grid = GridSpec(Axis("g", -0.4, -0.3, 2), Axis("p", 0.6, 0.7, 2), FIXED)
-        points = multistability_map(grid, n_seeds=300, rng_seed=7, detect_cycles=False)
+        points = multistability_map(grid, detect_cycles=False)
         assert max(pt.stable_count for pt in points) == 3
 
 
