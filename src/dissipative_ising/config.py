@@ -14,6 +14,7 @@ every invariant violation is reported with the offending key path.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -192,6 +193,14 @@ def _positive(value, where: str) -> float:
     return value
 
 
+def _tolerance(value, where: str) -> float:
+    """An integrator tolerance, in (0, 1e-3] like ``integrate_trajectory``'s."""
+    value = _number(value, where)
+    if not 0.0 < value <= 1e-3:
+        raise ConfigError(f"{where}: must be in (0, 1e-3], got {value}")
+    return value
+
+
 def _fraction(value, where: str) -> float:
     value = _number(value, where)
     if not 0.0 <= value < 1.0:
@@ -263,8 +272,8 @@ _CHECKS = {
     "model.N": _integer(),
     "evolve.initials": _initials,
     "evolve.t_end": _positive,
-    "evolve.rel_tol": _positive,
-    "evolve.abs_tol": _positive,
+    "evolve.rel_tol": _tolerance,
+    "evolve.abs_tol": _tolerance,
     "evolve.transient_fraction": _fraction,
     "options.select_branch": _boolean,
     "options.detect_cycles": _boolean,
@@ -273,8 +282,8 @@ _CHECKS = {
     "quantum_evolve.initial": _initial_state,
     "quantum_evolve.t_end": _positive,
     "quantum_evolve.n_snapshots": _integer(2),
-    "quantum_evolve.rel_tol": _positive,
-    "quantum_evolve.abs_tol": _positive,
+    "quantum_evolve.rel_tol": _tolerance,
+    "quantum_evolve.abs_tol": _tolerance,
     "hysteresis.p_min": _number,
     "hysteresis.p_max": _number,
     "hysteresis.count": _integer(1),
@@ -433,11 +442,25 @@ def validate_config(raw: dict) -> RunConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading that also reads exponent floats without a dot.
+
+    Plain YAML 1.1 takes 1e-9 for a string (its floats need a dot);
+    here it is the float, as in YAML 1.2 and JSON.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def load_raw(path) -> dict:
     """Read a config mapping from YAML/JSON, unwrapping run metadata files.
 
-    JSON text is read as JSON: YAML 1.1 would take floats such as 1e-10,
-    which metadata files hold, for strings.
+    JSON text is read as JSON, and YAML reads 1e-9 as a float (``_Loader``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -448,7 +471,7 @@ def load_raw(path) -> dict:
         raw = json.loads(text)
     except ValueError:
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     raw = _require_mapping(raw, "config")

@@ -8,31 +8,38 @@ and collective decay at rate Gamma reads
 
     drho/dt = -i [H, rho] + (Gamma/2N) (2 J- rho J+ - {J+ J-, rho}).
 
-Vectorizing rho by column stacking (Fortran order), A rho B maps to
-(B^T kron A) vec(rho), so the Liouvillian matrix is
+L maps Hermitian matrices to Hermitian matrices, so it acts on the
+real coordinates of rho in an orthonormal (Hilbert-Schmidt) basis of
+Hermitian matrices.  With d = N + 1 the coordinates are the d diagonal
+entries rho_kk, then sqrt(2) Re rho_jk and then sqrt(2) Im rho_jk over
+the upper triangle j < k in row-major order (``vec``/``unvec``).  H and
+J- are real, so writing rho = R + iS with R real symmetric and S real
+antisymmetric splits the equation into
 
-    L = -i (I kron H - H^T kron I)
-        + (Gamma/2N) (2 (J+)^T kron J-  -  I kron J+J-  -  (J+J-)^T kron I).
+    dR/dt = D(R) + [H, S],        dS/dt = D(S) - [H, R],
 
-For this model H is real symmetric and J- real, so the matrix above
-coincides with the standard Kronecker form quoted for superoperators;
-the tests cross-check it against the direct-form right-hand side.
+with the real dissipator D(X) = (Gamma/2N)(2 J- X J+ - {J+ J-, X}), and
+the matrix of L in these coordinates is real.  It is Q^dag L_c Q for
+the unitary Q whose columns are the basis matrices, column-stacked, and
+L_c the complex Kronecker form, so the spectrum is that of L_c.
 
 Eigenvalue conventions: the spectrum lies in the closed left half
-plane; the eigenvector of the (unique, for generic finite N) zero
-eigenvalue is the steady state, and the gap is |Re| of the nonzero
-eigenvalue closest to the imaginary axis (the asymptotic decay rate).
+plane and is closed under conjugation; the eigenvector of the (unique,
+for generic finite N) zero eigenvalue is the steady state, and the gap
+is |Re| of the nonzero eigenvalue closest to the imaginary axis (the
+asymptotic decay rate).
 
-Each question has one route, for every N up to ``N_LIMIT``:
+Each question has one route, for every N up to ``N_LIMIT``, and each
+runs in real arithmetic:
 
 * steady state: one sparse LU solve of L with its first row replaced
-  by the trace functional (``steady_state``);
+  by the trace functional, ones on the d diagonal coordinates
+  (``steady_state``);
 * gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins and
   shift-invert Arnoldi near zero above; this is the only size
   dispatch in the package (``liouvillian_gap``);
-* time evolution: one DOP853 integration of the vectorized linear
-  system (``propagate``, behind ``evolve_rho`` and
-  ``ramped_evolution``).
+* time evolution: one DOP853 integration of the real linear system
+  (``propagate``, behind ``evolve_rho`` and ``ramped_evolution``).
 """
 
 from __future__ import annotations
@@ -72,24 +79,30 @@ __all__ = [
 DENSE_N_MAX = 30
 # The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
+# vec rejects a matrix whose anti-Hermitian part exceeds this times its
+# max-abs entry.
+HERMITIAN_TOL = 1e-12
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class LiouvillianMatrix:
-    """Vectorized Liouvillian (column stacking) with its provenance."""
+    """Real matrix of the Liouvillian on the coordinates of ``vec``.
+
+    ``scale`` is the max-abs entry of the complex Kronecker form on
+    column-stacked rho, which differs from that of ``matrix`` (typically
+    by a few per cent); it is the norm behind the zero-eigenvalue
+    threshold, the marginal-separation warning and the Arnoldi shift.
+    """
 
     matrix: sp.csr_matrix
     basis: DickeBasis
     params: ModelParams
+    scale: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def scale(self) -> float:
-        """Max-abs entry, the norm used for zero-eigenvalue thresholds."""
-        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
 
 
 @dataclass(frozen=True)
@@ -130,36 +143,151 @@ def build_hamiltonian(params: ModelParams, basis: DickeBasis) -> np.ndarray:
     return (1.0 - p) * h0 + p * h1
 
 
+def _unit_coordinates(dim: int):
+    """Coordinates of each matrix unit E_ab, flat index a * dim + b.
+
+    Returns (slot, weight) arrays for the symmetric part and for the
+    antisymmetric part.  E_aa is the diagonal coordinate a, weight 1,
+    with no antisymmetric slot (-1).  For a != b, E_ab has weight
+    1/sqrt(2) on the sqrt(2) Re coordinate of the pair {a, b} and
+    +-1/sqrt(2) on its sqrt(2) Im coordinate (+ above the diagonal).
+    These weights are the columns of the isometries Ps and Pa that carry
+    real superoperators to coordinates (``build_liouvillian``).
+    """
+    a, b = np.divmod(np.arange(dim * dim), dim)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pair = lo * dim - lo * (lo + 1) // 2 + hi - lo - 1  # rank of (lo, hi) in np.triu_indices
+    diag = a == b
+    n_sym = dim + dim * (dim - 1) // 2
+    sym = (np.where(diag, a, dim + pair), np.where(diag, 1.0, 1.0 / _SQRT2))
+    anti = (np.where(diag, -1, n_sym + pair), np.where(a < b, 1.0, -1.0) / _SQRT2)
+    return sym, anti
+
+
+def _complex_scale(ham: np.ndarray, lower: np.ndarray, k_diag: np.ndarray, rate: float) -> float:
+    """Max-abs entry of the complex Kronecker form of L, without building it.
+
+    On column-stacked rho the entry coupling rho_ce to (L rho)_ab is
+    -i (H_ac d_eb - d_ac H_eb) + rate (2 J-_ac J+_eb - K_ac d_eb - d_ac K_eb),
+    K = J+J- diagonal and J-, J+ without diagonal.  So it is
+    rate (-K_aa - K_bb) - i (H_aa - H_bb) where c = a and e = b, -i H_ac or
+    i H_eb where exactly one index pair differs, and 2 rate J-_ac J+_eb
+    where both do; each is evaluated as the Kronecker sums round it.
+    """
+    h_diag = np.diag(ham)
+    # np.abs of a complex entry, as the Kronecker form gives it (np.hypot
+    # can differ in the last bit)
+    same = np.abs(rate * (-k_diag[:, None] - k_diag[None, :]) - 1j * (h_diag[:, None] - h_diag[None, :]))
+    hopping = np.abs(ham - np.diag(h_diag)).max()
+    j_max = np.abs(lower).max()
+    return float(max(same.max(), hopping, abs(rate * (2.0 * (j_max * j_max)))))
+
+
 def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatrix:
-    """Sparse matrix of the Liouvillian acting on column-stacked rho."""
+    """Sparse real matrix of the Liouvillian on the coordinates of :func:`vec`.
+
+    The dissipator D(X) = (Gamma/2N)(2 J- X J+ - {J+J-, X}) and the
+    commutator C(X) = [H, X] are real maps of real matrices.  Their
+    entries between matrix units are carried to coordinates through
+    the isometries of ``_unit_coordinates``, Ps onto the diagonal and
+    sqrt(2) Re coordinates and Pa onto the sqrt(2) Im ones:
+
+        L = [[Ps^T D Ps,   Ps^T C Pa],
+             [-Pa^T C Ps,  Pa^T D Pa]].
+    """
     _require_matching_n(params, basis)
     if params.N > N_LIMIT:
         raise ValueError(
             f"N={params.N} exceeds the supported maximum {N_LIMIT} "
             f"(Liouvillian dimension would be {(params.N + 1) ** 2})"
         )
-    ham = sp.csr_matrix(build_hamiltonian(params, basis))
-    jminus, jplus = op_ladder(basis)
-    jm = sp.csr_matrix(jminus)
-    jp = sp.csr_matrix(jplus)
-    jpjm = (jp @ jm).tocsr()
-    eye = sp.identity(basis.dim, dtype=complex, format="csr")
+    dim = basis.dim
+    ham = build_hamiltonian(params, basis).real
+    jminus, _jplus = op_ladder(basis)
+    lower = np.diagonal(jminus.real, -1)  # J-[k+1, k]
+    k_diag = np.append(lower**2, 0.0)  # J+J- is diagonal
     rate = params.Gamma / (2.0 * params.N)
-    lmat = -1j * (sp.kron(eye, ham) - sp.kron(ham.T, eye))
-    lmat = lmat + rate * (
-        2.0 * sp.kron(jp.T, jm) - sp.kron(eye, jpjm) - sp.kron(jpjm.T, eye)
+    units = np.arange(dim * dim)
+    a, b = np.divmod(units, dim)
+    # (row unit, column unit, value) of D: X_ce feeds (c+1, e+1) through
+    # 2 J- X J+, and every X_ab itself through -{J+J-, X}
+    c, e = np.divmod(np.arange((dim - 1) ** 2), dim - 1)
+    dissipator = (
+        np.concatenate([units, (c + 1) * dim + e + 1]),
+        np.concatenate([units, c * dim + e]),
+        np.concatenate([-rate * (k_diag[a] + k_diag[b]), 2.0 * rate * lower[c] * lower[e]]),
     )
-    return LiouvillianMatrix(matrix=lmat.tocsr(), basis=basis, params=params)
+    # and of C: X_xt feeds (a, t) through H_ax, X_tx feeds (t, b) through -H_xb
+    h_row, h_col = np.nonzero(ham)
+    h_val = ham[h_row, h_col]
+    t = np.arange(dim)
+    commutator = (
+        np.concatenate([(h_row[:, None] * dim + t).ravel(), (t[:, None] * dim + h_col).ravel()]),
+        np.concatenate([(h_col[:, None] * dim + t).ravel(), (t[:, None] * dim + h_row).ravel()]),
+        np.concatenate([np.repeat(h_val, dim), -np.tile(h_val, dim)]),
+    )
+    sym, anti = _unit_coordinates(dim)
+    rows, cols, vals = [], [], []
+    for (r, col, v), (r_slot, r_w), (c_slot, c_w), sign in (
+        (dissipator, sym, sym, 1.0),
+        (dissipator, anti, anti, 1.0),
+        (commutator, sym, anti, 1.0),
+        (commutator, anti, sym, -1.0),
+    ):
+        keep = (r_slot[r] >= 0) & (c_slot[col] >= 0)
+        r, col, v = r[keep], col[keep], v[keep]
+        rows.append(r_slot[r])
+        cols.append(c_slot[col])
+        vals.append(sign * v * r_w[r] * c_w[col])
+    # duplicates are summed
+    lmat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim * dim, dim * dim),
+    )
+    lmat.eliminate_zeros()
+    scale = _complex_scale(ham, lower, k_diag, rate)
+    return LiouvillianMatrix(matrix=lmat, basis=basis, params=params, scale=scale)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix (Fortran-order flatten)."""
-    return np.asarray(rho).reshape(-1, order="F")
+    """Real coordinates of a Hermitian matrix in the orthonormal Hermitian basis.
+
+    The d diagonal entries, then sqrt(2) Re rho_jk and sqrt(2) Im rho_jk
+    over the upper triangle j < k in row-major order.  A matrix that is
+    not Hermitian to within 1e-12 of its max-abs entry raises
+    ``ValueError``; below that, its Hermitian part is taken.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"rho must be square, got shape {rho.shape}")
+    skew = np.abs(rho - rho.conj().T).max()
+    if skew > HERMITIAN_TOL * max(np.abs(rho).max(), 1.0):
+        raise ValueError(
+            f"rho is not Hermitian: max |rho - rho^dag| = {skew:.3e}; "
+            "the anti-Hermitian part has no real coordinates"
+        )
+    rows, cols = np.triu_indices(rho.shape[0], 1)
+    upper = (rho[rows, cols] + np.conj(rho[cols, rows])) * (_SQRT2 / 2.0)
+    return np.concatenate([np.diag(rho).real, upper.real, upper.imag])
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((dim, dim), order="F")
+    """The matrix with coordinates ``v``: inverse of :func:`vec`.
+
+    The map is extended complex-linearly, so a complex ``v`` (an
+    eigenvector of the real matrix) gives a non-Hermitian matrix; a real
+    ``v`` gives an exactly Hermitian one.
+    """
+    v = np.asarray(v)
+    if v.shape != (dim * dim,):
+        raise ValueError(f"expected {dim * dim} coordinates, got shape {v.shape}")
+    rows, cols = np.triu_indices(dim, 1)
+    re, im = v[dim:dim + rows.size], v[dim + rows.size:]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.arange(dim), np.arange(dim)] = v[:dim]
+    rho[rows, cols] = (re + 1j * im) / _SQRT2
+    rho[cols, rows] = (re - 1j * im) / _SQRT2
+    return rho
 
 
 def dicke_state_rho(basis: DickeBasis, m: float) -> np.ndarray:
@@ -182,7 +310,7 @@ def _eigs_near_zero(matrix: sp.csr_matrix, k: int, scale: float):
     k = min(k, dim - 2)
     if k < 1:
         raise SolverError(f"matrix dimension {dim} too small for iterative solve")
-    v0 = np.ones(dim, dtype=complex) / np.sqrt(dim)
+    v0 = np.ones(dim) / np.sqrt(dim)
     failures = []
     for sigma_rel in (1e-10, 1e-8, 1e-6, 1e-4):
         sigma = sigma_rel * max(scale, 1.0)
@@ -218,21 +346,22 @@ def _normalized_rho(rho: np.ndarray, liouv: LiouvillianMatrix):
 def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
     """Steady state from one sparse direct solve, for every N.
 
-    The first row of L is replaced by the trace functional, and
-    L' vec(rho) = e_1 is solved by sparse LU.  Trace preservation makes
-    that row a combination of the others, so the bordered matrix is
-    invertible exactly when the zero eigenvalue of L is simple; a
-    singular factorization raises ``SolverError``, and so does a
-    residual |L vec(rho)| above 1e-8.  The result is Hermitized and
-    trace-normalized; positivity is warned about, not enforced.
+    The first row of the real L is replaced by the trace functional,
+    ones on the d diagonal coordinates, and L' vec(rho) = e_1 is solved
+    by real sparse LU.  Trace preservation makes that row a combination
+    of the others, so the bordered matrix is invertible exactly when the
+    zero eigenvalue of L is simple; a singular factorization raises
+    ``SolverError``, and so does a residual |L vec(rho)| above 1e-8.
+    The result is Hermitian by construction and trace-normalized;
+    positivity is warned about, not enforced.
     """
     dim = liouv.basis.dim
     trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim))),
         shape=(1, dim * dim),
     )
     bordered = sp.vstack([trace_row, liouv.matrix[1:]], format="csc")
-    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs = np.zeros(dim * dim)
     rhs[0] = 1.0
     try:
         solution = splu(bordered).solve(rhs)
@@ -290,11 +419,12 @@ def liouvillian_gap(liouv: LiouvillianMatrix, k: int = 12) -> SpectralResult:
 
     The gap is |Re| of the nonzero eigenvalue with the largest real
     part, after excluding eigenvalues with |lambda| below 1e-10 times
-    the max-abs matrix entry.  The solver follows from N alone: up to
-    ``DENSE_N_MAX`` spins the full spectrum comes from a dense
-    eigendecomposition; above it, shift-invert Arnoldi returns the
-    ``k`` eigenvalues nearest zero.  The steady state and
-    zero multiplicity come from the zero mode of the same eigensolve.
+    ``liouv.scale``.  The solver follows from N alone, and both run on
+    the real matrix: up to ``DENSE_N_MAX`` spins the full spectrum
+    comes from a dense eigendecomposition; above it, real shift-invert
+    Arnoldi returns the ``k`` eigenvalues nearest zero.  The steady
+    state and zero multiplicity come from the zero mode of the same
+    eigensolve.
     In a gapless/degenerate window the zero multiplicity is reported
     rather than failing.
 
@@ -320,9 +450,10 @@ def propagate(
 ) -> list[np.ndarray]:
     """Density matrices at ``times`` from ``rho0`` at t = 0.
 
-    One DOP853 integration of the vectorized linear system up to
+    One DOP853 integration of the real coordinates (``vec``) up to
     ``times[-1]``, reporting the ascending output ``times``.  The only
-    propagator for density matrices.
+    propagator for density matrices.  A ``rho0`` that is not Hermitian
+    raises ``ValueError``.
     """
     matrix = liouv.matrix
     dim = liouv.basis.dim
@@ -351,8 +482,9 @@ def evolve_rho(
     """Integrate the master equation from ``rho0`` for time ``t_end``.
 
     Runs :func:`propagate` (the adaptive explicit scheme of the
-    mean-field module) to ``t_end``.  With the default tolerances trace
-    and Hermiticity drift stay below 1e-9.
+    mean-field module) to ``t_end``.  The result is exactly Hermitian,
+    and with the default tolerances the trace drifts by less than 1e-9.
+    A ``rho0`` that is not Hermitian raises ``ValueError``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:

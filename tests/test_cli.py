@@ -223,6 +223,17 @@ class TestValidation:
                 cfg = load_config(path)
                 assert validate_config(resolved_dict(cfg)) == cfg, path
 
+    @pytest.mark.parametrize("block", ["evolve", "quantum_evolve"])
+    def test_tolerances_in_integrator_range(self, block):
+        task = {"evolve": "mf-evolve", "quantum_evolve": "quantum-evolve"}[block]
+        model = {"V": -5.0, "g": 1.0, "p": 1.0, "N": 4}
+        for key in ("rel_tol", "abs_tol"):
+            for value in (0.01, 0.0, -1e-9):
+                with pytest.raises(ConfigError, match=rf"{block}\.{key}: must be in \(0, 1e-3\]"):
+                    validate_config({"task": task, "model": model, block: {key: value}})
+            cfg = validate_config({"task": task, "model": model, block: {key: 1e-3}})
+            assert getattr(getattr(cfg, block), key) == 1e-3
+
     def test_defaults_materialized(self):
         cfg = validate_config({"task": "boundaries", "model": {}})
         resolved = resolved_dict(cfg)
@@ -488,6 +499,18 @@ class TestExitCodes:
         assert f"model.N: quantum solvers are capped at N={N_LIMIT}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tolerance_above_range_is_2(self, tmp_path, capsys):
+        # the integrator rejects it too; as a config error nothing is run
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {"task": "mf-evolve", "model": {"V": -5.0, "g": 3.0, "p": 1.0},
+             "evolve": {"t_end": 5.0, "rel_tol": 0.01}},
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 2
+        assert "evolve.rel_tol: must be in (0, 1e-3], got 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", BOUNDARIES_CFG)
         blocker = tmp_path / "blocked"
@@ -507,6 +530,30 @@ class TestLoadRaw:
         path = tmp_path / "metadata.json"
         path.write_text(json.dumps({"config": {"task": "mf-evolve", "evolve": {"abs_tol": 1e-12}}}))
         assert load_raw(path)["evolve"]["abs_tol"] == 1e-12
+
+    def test_yaml_exponent_floats_without_dot_are_numbers(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "task: mf-evolve\nmodel: {V: -5.0, g: 3.0, p: 1.0}\n"
+            "evolve: {t_end: 5.0, rel_tol: 1e-9, abs_tol: 1E-11}\n"
+        )
+        raw = load_raw(path)
+        assert raw["evolve"] == {"t_end": 5.0, "rel_tol": 1e-9, "abs_tol": 1e-11}
+        cfg = load_config(path)
+        assert (cfg.evolve.rel_tol, cfg.evolve.abs_tol) == (1e-9, 1e-11)
+        # quoted, or not a number, it stays a string
+        path.write_text("a: '1e-9'\nb: 1e\nc: e5\n")
+        assert load_raw(path) == {"a": "1e-9", "b": "1e", "c": "e5"}
+
+    def test_shipped_configs_load_as_before(self):
+        # the float resolver changes no value in the shipped configs
+        paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
+        assert len(paths) == 20
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                plain = yaml.safe_load(fh)
+            assert load_raw(path) == plain, path
+            assert load_config(path) == validate_config(plain), path
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

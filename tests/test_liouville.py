@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.optimize import linear_sum_assignment
 
 from dissipative_ising import (
     LiouvillianMatrix,
@@ -20,13 +21,23 @@ from dissipative_ising import (
     magnetization,
     op_cartesian,
     op_ladder,
+    propagate,
     ramped_evolution,
     steady_state,
     unvec,
     vec,
 )
 from dissipative_ising.liouville import _eigs_near_zero, _spectral_result
-from reference_ops import lindblad_rhs
+from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
+
+# (N, p, g, V) on which the real form and the steady state are checked
+FORM_GRID = [
+    (n, p, g, v)
+    for n in (1, 2, 5, 10)
+    for p, g, v in itertools.product(
+        (0.0, 0.25, 0.5, 0.77, 1.0), (-3.0, -1.0, 0.0, 0.3, 1.0), (-5.0, 0.0, 2.0)
+    )
+]
 
 
 def random_hermitian(rng, dim, unit_trace=False):
@@ -141,6 +152,75 @@ class TestLiouvillianMatrix:
         assert np.allclose(a, b, atol=1e-7)
 
 
+class TestRealForm:
+    """The real form against the complex Kronecker form of the test oracle."""
+
+    def test_is_unitary_transform_of_complex_form_on_grid(self):
+        bases = {n: hermitian_basis(n + 1) for n in (1, 2, 5, 10)}
+        for n, p, g, v in FORM_GRID:
+            prm = ModelParams(V=v, g=g, p=p, N=n)
+            liouv = build_liouvillian(prm, build_basis(n))
+            lc = complex_liouvillian(prm, build_basis(n))
+            q = bases[n]
+            assert liouv.matrix.dtype == np.float64
+            expected = q.conj().T @ lc.toarray() @ q
+            assert np.abs(liouv.matrix.toarray() - expected).max() < 1e-13, (n, p, g, v)
+            assert liouv.scale == float(np.abs(lc.data).max()), (n, p, g, v)
+
+    def test_dense_spectrum_matches_complex_form_on_grid(self):
+        # first-order perturbation bound for backward-stable eigensolvers:
+        # |d lambda_i| <= kappa_i eps |L|_F, kappa_i = 1/|y_i^H x_i| from the
+        # unit left and right eigenvectors of the complex form; 100 is slack
+        # for the dimension factors.  Defective eigenvalues (kappa -> inf,
+        # e.g. V = 0) are ill-posed in either form and get a vacuous bound.
+        eps = np.finfo(float).eps
+        for n, p, g, v in FORM_GRID:
+            prm = ModelParams(V=v, g=g, p=p, N=n)
+            liouv = build_liouvillian(prm, build_basis(n))
+            lc = complex_liouvillian(prm, build_basis(n)).toarray()
+            real_vals = scipy.linalg.eigvals(liouv.matrix.toarray())
+            vals, left, right = scipy.linalg.eig(lc, left=True, right=True)
+            kappa = 1.0 / np.abs(np.einsum("ij,ij->j", left.conj(), right))
+            distance = np.abs(real_vals[:, None] - vals[None, :])
+            rows, cols = linear_sum_assignment(distance)
+            bound = 100.0 * kappa[cols] * eps * np.linalg.norm(lc)
+            assert np.all(distance[rows, cols] <= bound), (n, p, g, v)
+
+    def test_vec_is_oracle_coordinates(self):
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 6):
+            q = hermitian_basis(dim)
+            rho = random_hermitian(rng, dim)
+            coords = vec(rho)
+            assert coords.dtype == np.float64
+            assert np.abs(coords - q.conj().T @ rho.reshape(-1, order="F")).max() < 1e-15
+            back = unvec(coords, dim)
+            assert np.array_equal(back, back.conj().T)
+            assert np.abs(back - rho).max() < 1e-15
+            # complex coordinates extend linearly: unvec(x + iy) = unvec(x) + i unvec(y)
+            other = vec(random_hermitian(rng, dim))
+            mixed = unvec(coords + 1j * other, dim)
+            assert np.abs(mixed - (unvec(coords, dim) + 1j * unvec(other, dim))).max() < 1e-15
+
+    def test_non_hermitian_state_rejected(self):
+        prm = ModelParams(V=-5, g=1, p=0.5, N=3)
+        liouv = build_liouvillian(prm, build_basis(3))
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 0.1j  # rho[1, 0] stays 0: an anti-Hermitian part
+        with pytest.raises(ValueError, match="not Hermitian"):
+            vec(rho)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve_rho(rho, prm, 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            propagate(liouv, rho, [1.0], 1e-8, 1e-10)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ramped_evolution(rho, [(prm, 1.0)])
+        # rounding-level asymmetry is not rejected; its Hermitian part is used
+        nearly = np.eye(4, dtype=complex) / 4
+        nearly[0, 1], nearly[1, 0] = 0.1 + 1e-17, 0.1
+        assert np.array_equal(vec(nearly), vec((nearly + nearly.conj().T) / 2))
+
+
 class TestSteadyState:
     def test_pure_decay_reaches_south_pole(self):
         basis = build_basis(5)
@@ -201,14 +281,7 @@ class TestSteadyState:
         return (rho + rho.conj().T) / 2
 
     def test_matches_dense_null_vector_on_grid(self):
-        cut = [
-            (n, p, g, v)
-            for n in (1, 2, 5, 10)
-            for p, g, v in itertools.product(
-                (0.0, 0.25, 0.5, 0.77, 1.0), (-3.0, -1.0, 0.0, 0.3, 1.0), (-5.0, 0.0, 2.0)
-            )
-        ]
-        cut += [(20, p, g, -5.0) for p in (0.0, 0.5, 0.77, 1.0) for g in (-3.0, 1.0)]
+        cut = FORM_GRID + [(20, p, g, -5.0) for p in (0.0, 0.5, 0.77, 1.0) for g in (-3.0, 1.0)]
         for n, p, g, v in cut:
             liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n))
             result = steady_state(liouv)
@@ -220,11 +293,11 @@ class TestSteadyState:
         basis = build_basis(1)
         prm = ModelParams(V=1, g=1, p=0.5, N=1)
         # every rho is stationary: the bordered system is singular
-        flat = LiouvillianMatrix(sp.csr_matrix((4, 4), dtype=complex), basis, prm)
+        flat = LiouvillianMatrix(sp.csr_matrix((4, 4)), basis, prm, scale=0.0)
         with pytest.raises(SolverError, match="singular"):
             steady_state(flat)
         # a map that does not preserve the trace has no steady state
-        decay = LiouvillianMatrix(-sp.identity(4, dtype=complex, format="csr"), basis, prm)
+        decay = LiouvillianMatrix(-sp.identity(4, format="csr"), basis, prm, scale=1.0)
         with pytest.raises(SolverError, match="residual"):
             steady_state(decay)
 
