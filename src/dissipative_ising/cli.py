@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -309,11 +308,13 @@ def main(argv=None) -> int:
 
     try:
         raw = load_raw(args.config)
-        cfg = validate_config(raw)
         if args.workers is not None:
+            # the flag stands for the config key: tasks without a worker
+            # pool drop it with the retired-key warning
             if args.workers < 1:
                 raise ConfigError(f"workers: must be >= 1, got {args.workers}")
-            cfg = replace(cfg, workers=args.workers)
+            raw = {**raw, "workers": args.workers}
+        cfg = validate_config(raw)
     except ConfigError as exc:
         print(f"{TOOL_NAME}: config error: {exc}", file=sys.stderr)
         return 2

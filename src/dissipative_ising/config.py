@@ -46,15 +46,20 @@ OUTPUT_DIR_ENV = "DISSIPATIVE_ISING_OUTPUT_DIR"
 _GRID = ("axis1", "axis2")
 _HYSTERESIS = ("p_min", "p_max", "count", "direction", "solver", "threshold")
 
-# The task-specific keys each runner reads, block by block.  Hysteresis
-# depends on its solver: settle_time is read by "mf", window by "quantum".
+# The task-specific keys each runner reads, block by block; "config" is
+# the top level, where only the grid tasks, which run a worker pool,
+# read "workers".  Hysteresis depends on its solver: settle_time is read
+# by "mf", window by "quantum".
+_POOL = {"config": ("workers",)}
 READS = {
     "mf-fixed-points": {},
     "mf-evolve": {"evolve": ("initials", "t_end", "rel_tol", "abs_tol", "transient_fraction")},
-    "mf-phase-diagram": {"grid": _GRID, "options": ("select_branch", "detect_cycles", "settle_time")},
-    "multistability": {"grid": _GRID, "options": ("detect_cycles", "settle_time")},
-    "quantum-steady": {"grid": _GRID},
-    "quantum-gap": {"grid": _GRID, "options": ("gap_k",)},
+    "mf-phase-diagram": {
+        **_POOL, "grid": _GRID, "options": ("select_branch", "detect_cycles", "settle_time"),
+    },
+    "multistability": {**_POOL, "grid": _GRID, "options": ("detect_cycles", "settle_time")},
+    "quantum-steady": {**_POOL, "grid": _GRID},
+    "quantum-gap": {**_POOL, "grid": _GRID, "options": ("gap_k",)},
     "quantum-evolve": {"quantum_evolve": ("initial", "t_end", "n_snapshots", "rel_tol", "abs_tol")},
     "hysteresis:mf": {"hysteresis": _HYSTERESIS + ("settle_time",)},
     "hysteresis:quantum": {"hysteresis": _HYSTERESIS + ("window",)},
@@ -63,7 +68,7 @@ READS = {
 
 # Keys read by every task; "config" is the top level.
 _COMMON = {
-    "config": ("task", "model", "workers", "output"),
+    "config": ("task", "model", "output"),
     "model": ("V", "g", "p", "Gamma", "N"),
     "output": ("dir",),
 }
@@ -73,6 +78,7 @@ _COMMON = {
 # its value unchecked, with one warning naming every dropped path.
 RETIRED_KEYS = (
     "rng_seed",
+    "workers",
     "output.format",
     "fixed_points.n_seeds",
     "options.n_seeds",
@@ -84,7 +90,7 @@ RETIRED_KEYS = (
     "hysteresis.window",
 )
 
-_BLOCKS = {name for blocks in READS.values() for name in blocks}
+_BLOCKS = {name for blocks in READS.values() for name in blocks} - {"config"}
 
 
 @dataclass
@@ -265,6 +271,7 @@ def _initial_state(value, where: str):
 
 
 _CHECKS = {
+    "config.workers": _integer(1),
     "model.V": _number,
     "model.g": _number,
     "model.p": _number,
@@ -311,7 +318,8 @@ def _schema(task: str, solver: str | None) -> str:
 def _reads(schema: str) -> dict:
     """Block name -> keys read, the top level and the shared blocks included."""
     blocks = READS[schema]
-    return {**_COMMON, **blocks, "config": _COMMON["config"] + tuple(blocks)}
+    top = _COMMON["config"] + blocks.get("config", ()) + tuple(b for b in blocks if b != "config")
+    return {**_COMMON, **blocks, "config": top}
 
 
 def _drop_retired(raw: dict, reads: dict) -> dict:
@@ -425,17 +433,18 @@ def validate_config(raw: dict) -> RunConfig:
     output_dir = output.get("dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output.dir: expected a string, got {output_dir!r}")
+    top = READS[schema].get("config", ())
     cfg = RunConfig(
         task=task,
         model=model,
-        workers=_integer(1)(raw.get("workers", 1), "config.workers"),
         output_dir=output_dir,
+        **_checked({key: raw[key] for key in top if key in raw}, top, "config"),
     )
     for name, keys in READS[schema].items():
         if name == "grid":
             if "grid" in raw:
                 cfg.grid = _parse_grid(raw["grid"], model)
-        else:
+        elif name != "config":
             block = _require_mapping(raw.get(name), name)
             setattr(cfg, name, _OPTS[name](**_checked(block, keys, name)))
     _check_invariants(cfg, quantum=task in QUANTUM_TASKS or solver == "quantum")
@@ -496,12 +505,14 @@ def resolved_dict(cfg: RunConfig) -> dict:
     model = {"V": cfg.model.V, "g": cfg.model.g, "p": cfg.model.p, "Gamma": cfg.model.Gamma}
     if cfg.model.N is not None:
         model["N"] = cfg.model.N
-    out: dict = {"task": cfg.task, "model": model, "workers": cfg.workers}
+    out: dict = {"task": cfg.task, "model": model}
     if cfg.output_dir is not None:
         out["output"] = {"dir": cfg.output_dir}
     solver = cfg.hysteresis.solver if cfg.hysteresis is not None else None
     for name, keys in READS[_schema(cfg.task, solver)].items():
-        if name != "grid":
+        if name == "config":
+            out.update({key: getattr(cfg, key) for key in keys})
+        elif name != "grid":
             out[name] = {key: getattr(getattr(cfg, name), key) for key in keys}
         elif cfg.grid is not None:
             out["grid"] = {"axis1": _axis_dict(cfg.grid.axis1)}

@@ -136,31 +136,30 @@ def _select_branch(
 ):
     """Z of the stable fixed point reached from (just off) the south pole.
 
-    Integration restarts for up to four settle windows.  Settling ends
-    as soon as the trajectory enters the certified capture region of a
-    stable point, which then is the selected branch.  Points that are
-    neither captured nor converged after four windows report NaN.  With
-    ``detect_cycles``, the cycle check runs after a first window that
-    ends uncaptured, and a cycle found there ends the point.
+    With ``detect_cycles`` and no stable point, nothing can be captured,
+    so the cycle check runs first, from the seed itself; a cycle found
+    there ends the point before any settle window.  Otherwise (or when
+    that check finds no cycle or cannot tell) integration restarts for
+    up to four settle windows.  Settling ends as soon as the trajectory
+    enters the certified capture region of a stable point, which then
+    is the selected branch.  Points that are neither captured nor
+    converged after four windows report NaN.  With ``detect_cycles``,
+    the cycle check also runs after a first window that ends uncaptured,
+    and a cycle found there ends the point.
 
     Returns (selected Z, end state, converged, cycle found early).
     """
     end = SOUTH_POLE_SEED
+    if detect_cycles and not stable and _early_cycle(end, params):
+        return math.nan, end, False, True
     residual = math.inf
     for window in range(4):
         end = settle(end, params, settle_time, capture=stable)
         residual = float(np.abs(bloch_rhs(end, params)).max())
         if residual < 1e-8:
             break
-        if window == 0 and detect_cycles:
-            # Only a cycle ends the point here.  No cycle, or too few
-            # oscillations to tell yet, goes on to windows 2-4 and the
-            # check after them, whose error is the one written to the row.
-            try:
-                if _detect_cycle_from(end, params):
-                    return math.nan, end, False, True
-            except InsufficientDataError:
-                pass
+        if window == 0 and detect_cycles and _early_cycle(end, params):
+            return math.nan, end, False, True
     if residual >= 1e-8:
         return math.nan, end, False, False
     if stable:
@@ -169,6 +168,19 @@ def _select_branch(
         if dists[k] < 1e-3:
             return float(stable[k].state[2]), end, True, False
     return float(end[2]), end, True, False
+
+
+def _early_cycle(state, params: ModelParams) -> bool:
+    """Whether an early cycle check from ``state`` ends the point.
+
+    Only a cycle does.  No cycle, or too few oscillations to tell yet,
+    goes on to the settle windows and the check after them, whose error
+    is the one written to the row.
+    """
+    try:
+        return _detect_cycle_from(state, params)
+    except InsufficientDataError:
+        return False
 
 
 def _detect_cycle_from(state, params: ModelParams) -> bool:

@@ -73,7 +73,7 @@ PARENT_CONFIGS = {
         {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65, "Gamma": 1.0},
          "workers": 1, "rng_seed": 11, "output": {"format": "csv"},
          "fixed_points": {"n_seeds": 200}},
-        ["rng_seed", "output.format", "fixed_points.n_seeds"],
+        ["rng_seed", "workers", "output.format", "fixed_points.n_seeds"],
         {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65}},
     ),
     "mf-phase-diagram": (
@@ -131,7 +131,7 @@ PARENT_CONFIGS = {
          "hysteresis": {"p_min": 0.6, "p_max": 1.0, "count": 9, "direction": "both",
                         "solver": "mf", "settle_time": 100.0, "window": 40.0,
                         "threshold": 0.05}},
-        ["rng_seed", "output.format", "hysteresis.window"],
+        ["rng_seed", "workers", "output.format", "hysteresis.window"],
         {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0}, "output": {"dir": "runs/h"},
          "hysteresis": {"p_min": 0.6, "count": 9, "settle_time": 100.0}},
     ),
@@ -141,7 +141,7 @@ PARENT_CONFIGS = {
          "hysteresis": {"p_min": 0.6, "p_max": 1.0, "count": 5, "direction": "up",
                         "solver": "quantum", "settle_time": 200.0, "window": 20.0,
                         "threshold": 0.05}},
-        ["rng_seed", "output.format", "hysteresis.settle_time"],
+        ["rng_seed", "workers", "output.format", "hysteresis.settle_time"],
         {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "N": 10},
          "hysteresis": {"p_min": 0.6, "count": 5, "direction": "up", "solver": "quantum",
                         "window": 20.0}},
@@ -214,6 +214,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="options.n_seed: unknown key"):
             validate_config({"task": "quantum-gap", "model": model, "options": {"n_seed": 1}})
 
+    def test_workers_retired_where_no_pool_runs(self, tmp_path):
+        clean = {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65}}
+        path = write_yaml(tmp_path / "cfg.yaml", {**clean, "workers": 4})
+        with pytest.warns(UserWarning) as record:
+            cfg = load_config(path)
+        assert len(record) == 1
+        assert str(record[0].message).endswith("no run reads them: workers")
+        assert cfg == validate_config(clean)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="workers"):
+            assert main([path, "--output-dir", str(out)]) == 0
+        assert "workers" not in json.loads((out / "metadata.json").read_text())["config"]
+        # the --workers flag stands for the key and is dropped the same way
+        clean_path = write_yaml(tmp_path / "clean.yaml", clean)
+        with pytest.warns(UserWarning, match="workers"):
+            assert main([clean_path, "--workers", "4", "--output-dir", str(out)]) == 0
+        assert "workers" not in json.loads((out / "metadata.json").read_text())["config"]
+        # a task with a worker pool reads and checks it
+        grid = {"axis1": {"name": "g", "min": 0.0, "max": 1.0, "count": 2}}
+        pooled = {"task": "multistability", "model": {"V": -5.0}, "grid": grid}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_config({**pooled, "workers": 4}).workers == 4
+        with pytest.raises(ConfigError, match="config.workers: must be >= 1"):
+            validate_config({**pooled, "workers": 0})
+
     def test_shipped_configs_validate_cleanly(self):
         paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
         assert len(paths) == 20
@@ -238,8 +264,11 @@ class TestValidation:
         cfg = validate_config({"task": "boundaries", "model": {}})
         resolved = resolved_dict(cfg)
         assert resolved["model"]["Gamma"] == 1.0
-        assert resolved["workers"] == 1
+        assert "workers" not in resolved  # boundaries runs no worker pool
         assert resolved["boundaries"]["count"] == 96
+        grid = {"axis1": {"name": "g", "min": 0.0, "max": 1.0, "count": 2}}
+        cfg = validate_config({"task": "multistability", "model": {}, "grid": grid})
+        assert resolved_dict(cfg)["workers"] == 1
 
 
 class TestWriteTable:

@@ -160,6 +160,35 @@ class TestPhaseDiagram:
         assert point.error.startswith("InsufficientDataError: only 2 Z maxima")
         assert point.stable_count == 0 and not point.limit_cycle
 
+    def test_no_stable_point_cycle_runs_no_settle_window(self, monkeypatch):
+        # nothing can be captured, so the cycle check from the seed decides
+        def no_settle(*args, **kwargs):
+            raise AssertionError("a settle window ran")
+
+        monkeypatch.setattr(sweep_module, "settle", no_settle)
+        prm = ModelParams(V=-1, g=-1.05, p=1)
+        pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
+        assert pt.stable_count == 0 and pt.error is None
+        assert pt.limit_cycle and math.isnan(pt.selected_Z)
+
+    def test_undecided_seed_check_falls_back_to_windows(self, monkeypatch):
+        # the seed check cannot tell here; all four windows still run and
+        # the row is the whole-window one, its error included
+        prm = ModelParams(V=-5, g=0, p=0.2)
+        expected = oracle_row(prm)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return settle(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "settle", counted)
+        pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
+        assert calls == [200.0] * 4
+        assert expected[0] == 0 and expected[3].startswith("InsufficientDataError")
+        assert (pt.stable_count, pt.limit_cycle, pt.error) == (0, False, expected[3])
+        assert math.isnan(pt.selected_Z) and math.isnan(expected[1])
+
     def test_cycle_check_failures_isolate(self, monkeypatch):
         def broken(traj, transient_fraction):
             raise RuntimeError("synthetic failure")
