@@ -25,7 +25,7 @@ from .config import (
     resolved_dict,
     validate_config,
 )
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, reason
 from .liouville import (
     build_basis,
     build_liouvillian,
@@ -40,7 +40,9 @@ from .meanfield import (
     integrate_trajectory,
 )
 from .operators import spin_coherent_state
-from .sweep import analytic_boundaries, hysteresis_experiment, phase_diagram, quantum_point
+from .sweep import (
+    analytic_boundaries, hysteresis_experiment, multistability_map, phase_diagram, quantum_point,
+)
 from .tables import Table, write_metadata, write_table
 
 TOOL_NAME = "dissipative-ising"
@@ -83,7 +85,7 @@ def _run_mf_evolve(cfg: RunConfig) -> dict[str, Table]:
         try:
             cycle, error = detect_limit_cycle(traj, opts.transient_fraction), None
         except InsufficientDataError as exc:
-            cycle, error = None, f"{type(exc).__name__}: {exc}"
+            cycle, error = None, reason(exc)
         if cycle is None:
             cycle_table.append(i, False, math.nan, math.nan, error)
         else:
@@ -125,32 +127,38 @@ def _sweep_tables(points, primary_name: str) -> dict[str, Table]:
     return out
 
 
-def _run_mf_sweep(cfg: RunConfig, primary_name: str) -> dict[str, Table]:
+def _run_mf_sweep(cfg: RunConfig) -> dict[str, Table]:
     opts = cfg.options
     points = phase_diagram(
         cfg.grid,
         solver="mf",
         workers=cfg.workers,
-        select_branch=opts.select_branch and primary_name == "phase_diagram",
+        select_branch=opts.select_branch,
         detect_cycles=opts.detect_cycles,
         settle_time=opts.settle_time,
     )
-    return _sweep_tables(points, primary_name)
+    return _sweep_tables(points, "phase_diagram")
+
+
+def _run_multistability(cfg: RunConfig) -> dict[str, Table]:
+    opts = cfg.options
+    points = multistability_map(
+        cfg.grid,
+        workers=cfg.workers,
+        detect_cycles=opts.detect_cycles,
+        settle_time=opts.settle_time,
+    )
+    return _sweep_tables(points, "multistability")
 
 
 def _run_quantum_sweep(cfg: RunConfig, compute_gap: bool) -> dict[str, Table]:
     name = "gap" if compute_gap else "steady_state"
-    gap_k = cfg.options.gap_k if compute_gap else None
     if cfg.grid is None:
         # a single point is a one-row sweep whose failure ends the run
-        points = [quantum_point((0, 0), cfg.model, compute_gap, gap_k)]
+        points = [quantum_point((0, 0), cfg.model, compute_gap)]
     else:
         points = phase_diagram(
-            cfg.grid,
-            solver="quantum",
-            workers=cfg.workers,
-            compute_gap=compute_gap,
-            gap_k=gap_k,
+            cfg.grid, solver="quantum", workers=cfg.workers, compute_gap=compute_gap
         )
     return _sweep_tables(points, name)
 
@@ -235,9 +243,9 @@ def execute(cfg: RunConfig) -> dict[str, Table]:
     if cfg.task == "mf-evolve":
         return _run_mf_evolve(cfg)
     if cfg.task == "mf-phase-diagram":
-        return _run_mf_sweep(cfg, "phase_diagram")
+        return _run_mf_sweep(cfg)
     if cfg.task == "multistability":
-        return _run_mf_sweep(cfg, "multistability")
+        return _run_multistability(cfg)
     if cfg.task == "quantum-steady":
         return _run_quantum_sweep(cfg, compute_gap=False)
     if cfg.task == "quantum-gap":
@@ -327,7 +335,7 @@ def main(argv=None) -> int:
         print(f"{TOOL_NAME}: i/o error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
-        print(f"{TOOL_NAME}: solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{TOOL_NAME}: solver error: {reason(exc)}", file=sys.stderr)
         return 3
     print(
         f"{TOOL_NAME}: task {cfg.task} finished in {time.perf_counter() - t0:.2f} s; "

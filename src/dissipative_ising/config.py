@@ -59,7 +59,7 @@ READS = {
     },
     "multistability": {**_POOL, "grid": _GRID, "options": ("detect_cycles", "settle_time")},
     "quantum-steady": {**_POOL, "grid": _GRID},
-    "quantum-gap": {**_POOL, "grid": _GRID, "options": ("gap_k",)},
+    "quantum-gap": {**_POOL, "grid": _GRID},
     "quantum-evolve": {"quantum_evolve": ("initial", "t_end", "n_snapshots", "rel_tol", "abs_tol")},
     "hysteresis:mf": {"hysteresis": _HYSTERESIS + ("settle_time",)},
     "hysteresis:quantum": {"hysteresis": _HYSTERESIS + ("window",)},
@@ -107,7 +107,6 @@ class SweepOpts:
     select_branch: bool = True
     detect_cycles: bool = True
     settle_time: float = 200.0
-    gap_k: int = 12
 
 
 @dataclass
@@ -285,7 +284,6 @@ _CHECKS = {
     "options.select_branch": _boolean,
     "options.detect_cycles": _boolean,
     "options.settle_time": _positive,
-    "options.gap_k": _integer(2),
     "quantum_evolve.initial": _initial_state,
     "quantum_evolve.t_end": _positive,
     "quantum_evolve.n_snapshots": _integer(2),

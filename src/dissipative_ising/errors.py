@@ -19,3 +19,8 @@ class NotAFixedPointError(ValueError):
 
 class InsufficientDataError(ValueError):
     """A trajectory window is too short for the requested analysis."""
+
+
+def reason(exc: BaseException) -> str:
+    """The text an exception leaves in a table row: ``"{type}: {message}"``."""
+    return f"{type(exc).__name__}: {exc}"

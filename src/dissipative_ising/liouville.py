@@ -36,8 +36,10 @@ runs in real arithmetic:
   by the trace functional, ones on the d diagonal coordinates
   (``steady_state``);
 * gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins and
-  shift-invert Arnoldi near zero above; this is the only size
-  dispatch in the package (``liouvillian_gap``);
+  shift-invert Arnoldi for the ``GAP_K`` modes nearest zero above, at
+  a shift of 1e-6 times the max-abs entry of L; this is the only size
+  dispatch in the package, and its settings are internal to it
+  (``liouvillian_gap``);
 * time evolution: one DOP853 integration of the real linear system
   (``propagate``, behind ``evolve_rho`` and ``ramped_evolution``).
 """
@@ -75,8 +77,10 @@ __all__ = [
 ]
 
 # The gap comes from a dense full diagonalization up to this spin
-# count and from shift-invert Arnoldi beyond it.
+# count and from shift-invert Arnoldi for the GAP_K modes nearest zero
+# beyond it.
 DENSE_N_MAX = 30
+GAP_K = 16
 # The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
 # vec rejects a matrix whose anti-Hermitian part exceeds this times its
@@ -89,20 +93,22 @@ _SQRT2 = np.sqrt(2.0)
 class LiouvillianMatrix:
     """Real matrix of the Liouvillian on the coordinates of ``vec``.
 
-    ``scale`` is the max-abs entry of the complex Kronecker form on
-    column-stacked rho, which differs from that of ``matrix`` (typically
-    by a few per cent); it is the norm behind the zero-eigenvalue
-    threshold, the marginal-separation warning and the Arnoldi shift.
+    ``scale`` is the max-abs entry of ``matrix``; it is the norm behind
+    the zero-eigenvalue threshold, the marginal-separation warning and
+    the Arnoldi shift.
     """
 
     matrix: sp.csr_matrix
     basis: DickeBasis
     params: ModelParams
-    scale: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def scale(self) -> float:
+        return float(np.abs(self.matrix.data).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -162,25 +168,6 @@ def _unit_coordinates(dim: int):
     sym = (np.where(diag, a, dim + pair), np.where(diag, 1.0, 1.0 / _SQRT2))
     anti = (np.where(diag, -1, n_sym + pair), np.where(a < b, 1.0, -1.0) / _SQRT2)
     return sym, anti
-
-
-def _complex_scale(ham: np.ndarray, lower: np.ndarray, k_diag: np.ndarray, rate: float) -> float:
-    """Max-abs entry of the complex Kronecker form of L, without building it.
-
-    On column-stacked rho the entry coupling rho_ce to (L rho)_ab is
-    -i (H_ac d_eb - d_ac H_eb) + rate (2 J-_ac J+_eb - K_ac d_eb - d_ac K_eb),
-    K = J+J- diagonal and J-, J+ without diagonal.  So it is
-    rate (-K_aa - K_bb) - i (H_aa - H_bb) where c = a and e = b, -i H_ac or
-    i H_eb where exactly one index pair differs, and 2 rate J-_ac J+_eb
-    where both do; each is evaluated as the Kronecker sums round it.
-    """
-    h_diag = np.diag(ham)
-    # np.abs of a complex entry, as the Kronecker form gives it (np.hypot
-    # can differ in the last bit)
-    same = np.abs(rate * (-k_diag[:, None] - k_diag[None, :]) - 1j * (h_diag[:, None] - h_diag[None, :]))
-    hopping = np.abs(ham - np.diag(h_diag)).max()
-    j_max = np.abs(lower).max()
-    return float(max(same.max(), hopping, abs(rate * (2.0 * (j_max * j_max)))))
 
 
 def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatrix:
@@ -245,8 +232,7 @@ def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatr
         shape=(dim * dim, dim * dim),
     )
     lmat.eliminate_zeros()
-    scale = _complex_scale(ham, lower, k_diag, rate)
-    return LiouvillianMatrix(matrix=lmat, basis=basis, params=params, scale=scale)
+    return LiouvillianMatrix(matrix=lmat, basis=basis, params=params)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -298,22 +284,24 @@ def dicke_state_rho(basis: DickeBasis, m: float) -> np.ndarray:
     return rho
 
 
-def _eigs_near_zero(matrix: sp.csr_matrix, k: int, scale: float):
-    """Shift-invert Arnoldi for the k eigenvalues nearest zero.
+def _eigs_near_zero(liouv: LiouvillianMatrix):
+    """Shift-invert Arnoldi for the ``GAP_K`` eigenvalues nearest zero.
 
-    The Liouvillian is singular at exactly zero, so the shift starts a
-    hair to the right of the origin and is backed off on factorization
-    or convergence failures.  A fixed, deterministic starting vector
-    keeps repeated runs bit-identical.
+    The Liouvillian is singular at exactly zero, so the shift sits
+    1e-6 ``scale`` to the right of the origin, far enough for a
+    well-conditioned factorization, and is moved out to 1e-4 ``scale``
+    on a factorization or convergence failure.  A fixed, deterministic
+    starting vector keeps repeated runs bit-identical.
     """
+    matrix = liouv.matrix
     dim = matrix.shape[0]
-    k = min(k, dim - 2)
+    k = min(GAP_K, dim - 2)
     if k < 1:
         raise SolverError(f"matrix dimension {dim} too small for iterative solve")
     v0 = np.ones(dim) / np.sqrt(dim)
     failures = []
-    for sigma_rel in (1e-10, 1e-8, 1e-6, 1e-4):
-        sigma = sigma_rel * max(scale, 1.0)
+    for sigma_rel in (1e-6, 1e-4):
+        sigma = sigma_rel * max(liouv.scale, 1.0)
         try:
             vals, vecs = eigs(matrix, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
             return vals, vecs
@@ -414,30 +402,31 @@ def _spectral_result(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatri
     )
 
 
-def liouvillian_gap(liouv: LiouvillianMatrix, k: int = 12) -> SpectralResult:
+def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
     """Liouvillian spectrum near zero and the asymptotic decay rate.
 
     The gap is |Re| of the nonzero eigenvalue with the largest real
     part, after excluding eigenvalues with |lambda| below 1e-10 times
-    ``liouv.scale``.  The solver follows from N alone, and both run on
-    the real matrix: up to ``DENSE_N_MAX`` spins the full spectrum
-    comes from a dense eigendecomposition; above it, real shift-invert
-    Arnoldi returns the ``k`` eigenvalues nearest zero.  The steady
-    state and zero multiplicity come from the zero mode of the same
-    eigensolve.
+    ``liouv.scale``.  The solver and its settings follow from N alone,
+    and both solvers run on the real matrix: up to ``DENSE_N_MAX`` spins
+    the full spectrum comes from a dense eigendecomposition; above it,
+    real shift-invert Arnoldi returns the ``GAP_K`` eigenvalues nearest
+    zero.  The steady state and zero multiplicity come from the zero
+    mode of the same eigensolve.
     In a gapless/degenerate window the zero multiplicity is reported
     rather than failing.
 
-    Known limitation: the iterative gap is the rightmost of the ``k``
-    eigenvalues smallest in modulus, not the rightmost eigenvalue.  A
-    slow mode far up the imaginary axis is missed and the gap comes
-    out too large: at N = 50, V = -5, p = 0, g = -3 it reads 0.987,
-    while the full spectrum has a nonzero mode with real part -0.499.
+    Known limitation: the iterative gap is the rightmost of the
+    ``GAP_K`` eigenvalues smallest in modulus, not the rightmost
+    eigenvalue.  A slow mode far up the imaginary axis is missed and
+    the gap comes out too large: at N = 50, V = -5, p = 0, g = -3 it
+    reads 0.987, while the full spectrum has a nonzero mode with real
+    part -0.499.
     """
     if liouv.basis.n_spins <= DENSE_N_MAX:
         vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
     else:
-        vals, vecs = _eigs_near_zero(liouv.matrix, k=k, scale=liouv.scale)
+        vals, vecs = _eigs_near_zero(liouv)
     return _spectral_result(vals, vecs, liouv)
 
 

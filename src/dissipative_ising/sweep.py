@@ -16,7 +16,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, reason
 from .liouville import (
     N_LIMIT,
     build_basis,
@@ -193,6 +193,12 @@ def _detect_cycle_from(state, params: ModelParams) -> bool:
     return detect_limit_cycle(traj, transient_fraction=0.3) is not None
 
 
+def _failed_row(index, params: ModelParams, exc: Exception) -> PhasePoint:
+    """The row of a grid point whose solve raised ``exc``."""
+    return PhasePoint(index=index, params=params, stable_points=[], stable_count=0,
+                      selected_Z=math.nan, limit_cycle=False, error=reason(exc))
+
+
 def _mf_point(task) -> PhasePoint:
     (index, params, select_branch, detect_cycles, settle_time) = task
     try:
@@ -211,7 +217,7 @@ def _mf_point(task) -> PhasePoint:
                 try:
                     limit_cycle = _detect_cycle_from(end, params)
                 except InsufficientDataError as exc:
-                    error = f"{type(exc).__name__}: {exc}"
+                    error = reason(exc)
         return PhasePoint(
             index=index,
             params=params,
@@ -222,27 +228,19 @@ def _mf_point(task) -> PhasePoint:
             error=error,
         )
     except Exception as exc:  # failures isolate to this row
-        return PhasePoint(
-            index=index,
-            params=params,
-            stable_points=[],
-            stable_count=0,
-            selected_Z=math.nan,
-            limit_cycle=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(index, params, exc)
 
 
-def quantum_point(index, params: ModelParams, compute_gap: bool, k: int) -> PhasePoint:
+def quantum_point(index, params: ModelParams, compute_gap: bool) -> PhasePoint:
     """Quantum steady state, and optionally the gap, at one grid point.
 
     The magnetization comes from ``steady_state``, or with
-    ``compute_gap`` from the zero mode of the ``k``-mode gap eigensolve
-    (``k`` is unused without it).  Solver failures raise.
+    ``compute_gap`` from the zero mode of the gap eigensolve.  Solver
+    failures raise.
     """
     liouv = build_liouvillian(params, build_basis(params.N))
     if compute_gap:
-        spectral = liouvillian_gap(liouv, k=k)
+        spectral = liouvillian_gap(liouv)
         rho, gap, mult = spectral.steady_state, spectral.gap, spectral.zero_multiplicity
     else:
         result = steady_state(liouv)
@@ -262,19 +260,10 @@ def quantum_point(index, params: ModelParams, compute_gap: bool, k: int) -> Phas
 
 
 def _quantum_point(task) -> PhasePoint:
-    index, params = task[:2]
     try:
         return quantum_point(*task)
     except Exception as exc:  # failures isolate to this row
-        return PhasePoint(
-            index=index,
-            params=params,
-            stable_points=[],
-            stable_count=0,
-            selected_Z=math.nan,
-            limit_cycle=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(*task[:2], exc)
 
 
 def _run_tasks(fn, tasks, workers: int):
@@ -302,7 +291,6 @@ def phase_diagram(
     detect_cycles: bool = True,
     settle_time: float = 200.0,
     compute_gap: bool = False,
-    gap_k: int = 12,
 ) -> list[PhasePoint]:
     """Scan a parameter grid with the mean-field or quantum solver.
 
@@ -315,8 +303,8 @@ def phase_diagram(
     and of grid points.  The quantum solver checks every N against
     ``liouville.N_LIMIT`` before any solve, then runs
     :func:`quantum_point` at each point: the steady-state magnetization
-    and, with ``compute_gap``, the Liouvillian gap from ``gap_k``
-    modes.  Rows come back in
+    and, with ``compute_gap``, the Liouvillian gap, whose eigensolver
+    settings ``liouvillian_gap`` picks from N.  Rows come back in
     row-major grid order at any worker count.
     """
     if workers < 1:
@@ -335,10 +323,7 @@ def phase_diagram(
                 raise ValueError("quantum sweeps require N in the fixed parameters")
             if prm.N > N_LIMIT:
                 raise ValueError(f"quantum sweeps are capped at N={N_LIMIT}, got N={prm.N}")
-        tasks = [
-            (idx, prm, compute_gap, gap_k)
-            for idx, prm in zip(indices, params_list)
-        ]
+        tasks = [(idx, prm, compute_gap) for idx, prm in zip(indices, params_list)]
         return _run_tasks(_quantum_point, tasks, workers)
     raise ValueError(f"solver must be 'mf' or 'quantum', got {solver!r}")
 
@@ -347,11 +332,15 @@ def multistability_map(
     grid: GridSpec,
     workers: int = 1,
     detect_cycles: bool = True,
+    settle_time: float = 200.0,
 ) -> list[PhasePoint]:
     """Stable-solution counts over a (g, p) grid at fixed V.
 
     Branch selection is skipped (only counts and cycle flags matter),
-    which keeps large scans cheap.
+    which keeps large scans cheap.  With ``detect_cycles``, a point
+    with no stable fixed point still follows the pole trajectory, in
+    settle windows of ``settle_time`` where the first cycle check
+    cannot tell (see ``_select_branch``).
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:
@@ -362,6 +351,7 @@ def multistability_map(
         workers=workers,
         select_branch=False,
         detect_cycles=detect_cycles,
+        settle_time=settle_time,
     )
 
 

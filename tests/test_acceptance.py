@@ -237,10 +237,10 @@ def test_09_gap_closure_trend():
         build_liouvillian(ModelParams(V=-5, g=1, p=0, N=20), basis20)
     ).gap
     gap_40 = liouvillian_gap(
-        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=40), basis40), k=16
+        build_liouvillian(ModelParams(V=-5, g=1, p=0, N=40), basis40)
     ).gap
     gap_40_wide = liouvillian_gap(
-        build_liouvillian(ModelParams(V=-5, g=4, p=0, N=40), basis40), k=16
+        build_liouvillian(ModelParams(V=-5, g=4, p=0, N=40), basis40)
     ).gap
     assert gap_40 < gap_20
     assert gap_40_wide >= 10.0 * gap_40

@@ -121,9 +121,8 @@ PARENT_CONFIGS = {
          "options": {"n_seeds": 200, "select_branch": True, "detect_cycles": True,
                      "settle_time": 200.0, "gap_k": 16}},
         ["rng_seed", "output.format", "options.n_seeds", "options.select_branch",
-         "options.detect_cycles", "options.settle_time"],
-        {"task": "quantum-gap", "model": {"V": -5.0, "g": -1.0, "p": 0.8, "N": 40},
-         "options": {"gap_k": 16}},
+         "options.detect_cycles", "options.settle_time", "options.gap_k"],
+        {"task": "quantum-gap", "model": {"V": -5.0, "g": -1.0, "p": 0.8, "N": 40}},
     ),
     "hysteresis-mf": (
         {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "p": 0.0, "Gamma": 1.0},
@@ -201,8 +200,10 @@ class TestValidation:
 
     def test_retired_names_are_checked_where_read(self):
         model = {"V": -5.0, "g": -1.0, "N": 10}
-        with pytest.raises(ConfigError, match="options.gap_k"):
-            validate_config({"task": "quantum-gap", "model": model, "options": {"gap_k": 1}})
+        grid = {"axis1": {"name": "p", "min": 0.0, "max": 1.0, "count": 2}}
+        with pytest.raises(ConfigError, match="options.settle_time"):
+            validate_config({"task": "mf-phase-diagram", "model": model, "grid": grid,
+                             "options": {"settle_time": -1.0}})
         with pytest.raises(ConfigError, match="hysteresis.window"):
             validate_config({"task": "hysteresis", "model": model,
                              "hysteresis": {"solver": "quantum", "window": -1.0}})
@@ -211,8 +212,14 @@ class TestValidation:
             cfg = validate_config({"task": "hysteresis", "model": model,
                                    "hysteresis": {"window": -1.0}})
         assert cfg.hysteresis.window == 40.0
+        # retired everywhere: the Krylov size of the gap is internal to it
+        with pytest.warns(UserWarning, match="options.gap_k"):
+            cfg = validate_config({"task": "quantum-gap", "model": model,
+                                   "options": {"gap_k": 1}})
+        assert cfg == validate_config({"task": "quantum-gap", "model": model})
         with pytest.raises(ConfigError, match="options.n_seed: unknown key"):
-            validate_config({"task": "quantum-gap", "model": model, "options": {"n_seed": 1}})
+            validate_config({"task": "mf-phase-diagram", "model": model, "grid": grid,
+                             "options": {"n_seed": 1}})
 
     def test_workers_retired_where_no_pool_runs(self, tmp_path):
         clean = {"task": "mf-fixed-points", "model": {"V": -5.0, "g": -0.4, "p": 0.65}}
@@ -428,14 +435,13 @@ class TestCliRuns:
                                               ("quantum-gap", "gap")])
     def test_quantum_single_point_matches_sweep_point(self, tmp_path, task, table):
         model = {"V": -5.0, "g": -1.0, "p": 0.77, "Gamma": 1.0, "N": 10}
-        options = {"options": {"gap_k": 12}} if task == "quantum-gap" else {}
-        cfg_path = write_yaml(tmp_path / "cfg.yaml", {"task": task, "model": model, **options})
+        cfg_path = write_yaml(tmp_path / "cfg.yaml", {"task": task, "model": model})
         out = tmp_path / "out"
         assert main([cfg_path, "--output-dir", str(out)]) == 0
         rows = read_csv(out / f"{table}.csv")
         assert len(rows) == 2
 
-        pt = _quantum_point(((0, 0), ModelParams(**model), task == "quantum-gap", 12))
+        pt = _quantum_point(((0, 0), ModelParams(**model), task == "quantum-gap"))
         assert pt.error is None
         mag = pt.magnetization
         expected = [

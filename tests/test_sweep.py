@@ -258,6 +258,21 @@ class TestMultistability:
         points = multistability_map(grid, detect_cycles=False)
         assert max(pt.stable_count for pt in points) == 3
 
+    def test_settle_time_reaches_settle(self, monkeypatch):
+        # no stable point at V=-5, g=0, p=0.2: the seed check cannot tell,
+        # so the pole trajectory settles in windows of the given length
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return settle(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "settle", counted)
+        grid = GridSpec(Axis("p", 0.2, 0.3, 2), None, FIXED)
+        points = multistability_map(grid, settle_time=50.0)
+        assert points[0].stable_count == 0
+        assert calls and set(calls) == {50.0}
+
 
 class TestBoundaries:
     def test_reference_values(self):
