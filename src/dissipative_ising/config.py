@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -371,14 +371,20 @@ def _parse_axis(raw, where: str) -> Axis:
 
 
 def _parse_grid(raw: dict, model: ModelParams) -> GridSpec:
+    """The grid, each axis endpoint checked as a ``ModelParams`` value."""
     block = _require_mapping(raw, "grid")
     _reject_unknown(block, _GRID, "grid")
     _require(block, ("axis1",), "grid")
-    axis2 = None
-    if block.get("axis2") is not None:
-        axis2 = _parse_axis(block["axis2"], "grid.axis2")
+    axes = {key: _parse_axis(block[key], f"grid.{key}")
+            for key in _GRID if block.get(key) is not None}
+    for key, axis in axes.items():
+        for value in (axis.start, axis.stop):
+            try:
+                replace(model, **{axis.name: value})
+            except ValueError as exc:
+                raise ConfigError(f"grid.{key}: {exc}") from exc
     try:
-        return GridSpec(axis1=_parse_axis(block["axis1"], "grid.axis1"), axis2=axis2, fixed=model)
+        return GridSpec(axis1=axes["axis1"], axis2=axes.get("axis2"), fixed=model)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -403,6 +409,8 @@ def _check_invariants(cfg: RunConfig, quantum: bool):
             raise ConfigError(f"hysteresis: p_min must be <= p_max, got [{opts.p_min}, {opts.p_max}]")
         if opts.count == 1 and opts.p_min != opts.p_max:
             raise ConfigError("hysteresis: count=1 requires p_min == p_max")
+        if opts.count > 1 and opts.p_min == opts.p_max:
+            raise ConfigError("hysteresis: count > 1 requires p_min < p_max")
     opts = cfg.boundaries
     if opts is not None and opts.V_min > opts.V_max:
         raise ConfigError(f"boundaries: V_min must be <= V_max, got [{opts.V_min}, {opts.V_max}]")

@@ -83,8 +83,9 @@ DENSE_N_MAX = 30
 GAP_K = 16
 # The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
-# vec rejects a matrix whose anti-Hermitian part exceeds this times its
-# max-abs entry.
+# vec rejects a matrix whose anti-Hermitian part exceeds this times
+# max(max-abs entry, 1): an absolute 1e-12 for every density matrix,
+# whose entries are at most 1 in modulus.
 HERMITIAN_TOL = 1e-12
 _SQRT2 = np.sqrt(2.0)
 
@@ -239,9 +240,10 @@ def vec(rho: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the orthonormal Hermitian basis.
 
     The d diagonal entries, then sqrt(2) Re rho_jk and sqrt(2) Im rho_jk
-    over the upper triangle j < k in row-major order.  A matrix that is
-    not Hermitian to within 1e-12 of its max-abs entry raises
-    ``ValueError``; below that, its Hermitian part is taken.
+    over the upper triangle j < k in row-major order.  A matrix whose
+    anti-Hermitian part exceeds 1e-12 times max(max-abs entry, 1), an
+    absolute 1e-12 for every density matrix, raises ``ValueError``;
+    below that, its Hermitian part is taken.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

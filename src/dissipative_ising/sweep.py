@@ -96,17 +96,15 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return (self.axis1.count, self.axis2.count if self.axis2 else 1)
 
-    def param_list(self) -> list[ModelParams]:
-        """Row-major parameter sets: axis2 varies fastest."""
-        out = []
-        for v1 in self.axis1.values():
+    def points(self):
+        """``((i1, i2), params)`` in row-major order: axis2 varies fastest."""
+        for i1, v1 in enumerate(self.axis1.values()):
             base = replace(self.fixed, **{self.axis1.name: float(v1)})
             if self.axis2 is None:
-                out.append(base)
-            else:
-                for v2 in self.axis2.values():
-                    out.append(replace(base, **{self.axis2.name: float(v2)}))
-        return out
+                yield (i1, 0), base
+                continue
+            for i2, v2 in enumerate(self.axis2.values()):
+                yield (i1, i2), replace(base, **{self.axis2.name: float(v2)})
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ class PhasePoint:
     index: tuple[int, int]
     params: ModelParams
     stable_points: list[FixedPoint]
-    stable_count: int
     selected_Z: float
     limit_cycle: bool
     magnetization: np.ndarray | None = None
@@ -130,57 +127,53 @@ class PhasePoint:
     zero_multiplicity: int | None = None
     error: str | None = None
 
+    @property
+    def stable_count(self) -> int:
+        return len(self.stable_points)
+
 
 def _select_branch(
     params: ModelParams, stable: list[FixedPoint], settle_time: float, detect_cycles: bool
 ):
     """Z of the stable fixed point reached from (just off) the south pole.
 
-    With ``detect_cycles`` and no stable point, nothing can be captured,
-    so the cycle check runs first, from the seed itself; a cycle found
-    there ends the point before any settle window.  Otherwise (or when
-    that check finds no cycle or cannot tell) integration restarts for
-    up to four settle windows.  Settling ends as soon as the trajectory
-    enters the certified capture region of a stable point, which then
-    is the selected branch.  Points that are neither captured nor
-    converged after four windows report NaN.  With ``detect_cycles``,
-    the cycle check also runs after a first window that ends uncaptured,
-    and a cycle found there ends the point.
+    The pole trajectory settles in up to four windows of ``settle_time``.
+    A window ends as soon as the trajectory enters the certified capture
+    region of a stable point, which then is the selected branch.  With
+    ``detect_cycles``, the cycle check runs before window 0 where nothing
+    is stable (so nothing can be captured) and before window 1, and a
+    cycle found there ends the point; a check that cannot tell goes on
+    to the next window.  A trajectory that is neither captured nor
+    converged after four windows selects NaN; with ``detect_cycles`` a
+    last check from its end sets the cycle flag, or gives the row's
+    error where it cannot tell.
 
-    Returns (selected Z, end state, converged, cycle found early).
+    Returns (selected Z, limit cycle, error).
     """
     end = SOUTH_POLE_SEED
-    if detect_cycles and not stable and _early_cycle(end, params):
-        return math.nan, end, False, True
-    residual = math.inf
     for window in range(4):
+        if detect_cycles and (window == 1 or (window == 0 and not stable)):
+            try:
+                if _detect_cycle_from(end, params):
+                    return math.nan, True, None
+            except InsufficientDataError:
+                pass
         end = settle(end, params, settle_time, capture=stable)
-        residual = float(np.abs(bloch_rhs(end, params)).max())
-        if residual < 1e-8:
+        if float(np.abs(bloch_rhs(end, params)).max()) < 1e-8:
             break
-        if window == 0 and detect_cycles and _early_cycle(end, params):
-            return math.nan, end, False, True
-    if residual >= 1e-8:
-        return math.nan, end, False, False
+    else:
+        if not detect_cycles:
+            return math.nan, False, None
+        try:
+            return math.nan, _detect_cycle_from(end, params), None
+        except InsufficientDataError as exc:
+            return math.nan, False, reason(exc)
     if stable:
         dists = [np.linalg.norm(end - fp.state) for fp in stable]
         k = int(np.argmin(dists))
         if dists[k] < 1e-3:
-            return float(stable[k].state[2]), end, True, False
-    return float(end[2]), end, True, False
-
-
-def _early_cycle(state, params: ModelParams) -> bool:
-    """Whether an early cycle check from ``state`` ends the point.
-
-    Only a cycle does.  No cycle, or too few oscillations to tell yet,
-    goes on to the settle windows and the check after them, whose error
-    is the one written to the row.
-    """
-    try:
-        return _detect_cycle_from(state, params)
-    except InsufficientDataError:
-        return False
+            return float(stable[k].state[2]), False, None
+    return float(end[2]), False, None
 
 
 def _detect_cycle_from(state, params: ModelParams) -> bool:
@@ -195,38 +188,21 @@ def _detect_cycle_from(state, params: ModelParams) -> bool:
 
 def _failed_row(index, params: ModelParams, exc: Exception) -> PhasePoint:
     """The row of a grid point whose solve raised ``exc``."""
-    return PhasePoint(index=index, params=params, stable_points=[], stable_count=0,
-                      selected_Z=math.nan, limit_cycle=False, error=reason(exc))
+    return PhasePoint(index=index, params=params, stable_points=[], selected_Z=math.nan,
+                      limit_cycle=False, error=reason(exc))
 
 
 def _mf_point(task) -> PhasePoint:
     (index, params, select_branch, detect_cycles, settle_time) = task
     try:
-        points = find_fixed_points(params)
-        stable = [fp for fp in points if fp.stable]
-        selected_z = math.nan
-        limit_cycle = False
-        error = None
+        stable = [fp for fp in find_fixed_points(params) if fp.stable]
+        selected_z, limit_cycle, error = math.nan, False, None
         if select_branch or (detect_cycles and not stable):
-            selected_z, end, converged, limit_cycle = _select_branch(
+            selected_z, limit_cycle, error = _select_branch(
                 params, stable, settle_time, detect_cycles
             )
-            # a non-converged selection means the pole feeds a cycle: either
-            # the bare unstable region or a cycle coexisting with fixed points
-            if detect_cycles and not (converged or limit_cycle):
-                try:
-                    limit_cycle = _detect_cycle_from(end, params)
-                except InsufficientDataError as exc:
-                    error = reason(exc)
-        return PhasePoint(
-            index=index,
-            params=params,
-            stable_points=stable,
-            stable_count=len(stable),
-            selected_Z=selected_z,
-            limit_cycle=limit_cycle,
-            error=error,
-        )
+        return PhasePoint(index=index, params=params, stable_points=stable,
+                          selected_Z=selected_z, limit_cycle=limit_cycle, error=error)
     except Exception as exc:  # failures isolate to this row
         return _failed_row(index, params, exc)
 
@@ -250,7 +226,6 @@ def quantum_point(index, params: ModelParams, compute_gap: bool) -> PhasePoint:
         index=index,
         params=params,
         stable_points=[],
-        stable_count=0,
         selected_Z=float(mag[2]),
         limit_cycle=False,
         magnetization=mag,
@@ -276,13 +251,6 @@ def _run_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _grid_indices(grid: GridSpec):
-    n2 = grid.axis2.count if grid.axis2 else 1
-    for i1 in range(grid.axis1.count):
-        for i2 in range(n2):
-            yield (i1, i2)
-
-
 def phase_diagram(
     grid: GridSpec,
     solver: str = "mf",
@@ -295,35 +263,31 @@ def phase_diagram(
     """Scan a parameter grid with the mean-field or quantum solver.
 
     The mean-field solver records the stable fixed points at every
-    point (enumerated exactly, see ``find_fixed_points``), the Z of the
-    branch reachable from the south pole, and a limit-cycle flag where
-    the pole trajectory does not settle; when the cycle check has too
-    little trajectory to decide, the row's ``error`` says so and its
-    other columns stand.  ``workers`` is capped at the number of CPUs
-    and of grid points.  The quantum solver checks every N against
-    ``liouville.N_LIMIT`` before any solve, then runs
+    point (enumerated exactly, see ``find_fixed_points``).  With
+    ``select_branch``, or with ``detect_cycles`` where nothing is
+    stable, it then runs the pole-selection schedule of
+    ``_select_branch``, which gives the row's ``selected_Z``,
+    limit-cycle flag and ``error``.  ``workers`` is capped at the
+    number of CPUs and of grid points.  The quantum solver checks every
+    N against ``liouville.N_LIMIT`` before any solve, then runs
     :func:`quantum_point` at each point: the steady-state magnetization
     and, with ``compute_gap``, the Liouvillian gap, whose eigensolver
-    settings ``liouvillian_gap`` picks from N.  Rows come back in
-    row-major grid order at any worker count.
+    settings ``liouvillian_gap`` picks from N.  Rows come back in the
+    row-major order of ``GridSpec.points`` at any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    params_list = grid.param_list()
-    indices = list(_grid_indices(grid))
+    points = list(grid.points())
     if solver == "mf":
-        tasks = [
-            (idx, prm, select_branch, detect_cycles, settle_time)
-            for idx, prm in zip(indices, params_list)
-        ]
+        tasks = [(idx, prm, select_branch, detect_cycles, settle_time) for idx, prm in points]
         return _run_tasks(_mf_point, tasks, workers)
     if solver == "quantum":
-        for prm in params_list:
+        for _idx, prm in points:
             if prm.N is None:
                 raise ValueError("quantum sweeps require N in the fixed parameters")
             if prm.N > N_LIMIT:
                 raise ValueError(f"quantum sweeps are capped at N={N_LIMIT}, got N={prm.N}")
-        tasks = [(idx, prm, compute_gap) for idx, prm in zip(indices, params_list)]
+        tasks = [(idx, prm, compute_gap) for idx, prm in points]
         return _run_tasks(_quantum_point, tasks, workers)
     raise ValueError(f"solver must be 'mf' or 'quantum', got {solver!r}")
 
@@ -338,9 +302,9 @@ def multistability_map(
 
     Branch selection is skipped (only counts and cycle flags matter),
     which keeps large scans cheap.  With ``detect_cycles``, a point
-    with no stable fixed point still follows the pole trajectory, in
-    settle windows of ``settle_time`` where the first cycle check
-    cannot tell (see ``_select_branch``).
+    with no stable fixed point still runs the pole-selection schedule
+    of ``_select_branch``, in windows of ``settle_time``, for its
+    cycle flag.
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:
@@ -363,16 +327,16 @@ def analytic_boundaries(v_values, gamma: float = 1.0) -> list[dict]:
     g(+/-) = Gamma^2 / (8 (2V +/- sqrt(4V^2 - Gamma^2))) (the printed
     units-of-Gamma form rescaled to carry rate units); both the signed
     values and their magnitudes are tabulated, NaN where the window is
-    closed.
+    closed.  For V > -Gamma/2 it is closed: at V >= Gamma/2 the formula
+    has real roots, but only the south pole is stable at p = 0.
     """
     if gamma <= 0.0:
         raise ValueError(f"Gamma must be positive, got {gamma}")
     rows = []
     for v in np.asarray(v_values, dtype=float):
         gc_p1 = math.sqrt(16.0 * v * v + gamma * gamma) / 8.0
-        disc = 4.0 * v * v - gamma * gamma
-        if disc >= 0.0 and v != 0.0:
-            root = math.sqrt(disc)
+        if v <= -0.5 * gamma:
+            root = math.sqrt(4.0 * v * v - gamma * gamma)
             gplus = gamma * gamma / (8.0 * (2.0 * v + root))
             gminus = gamma * gamma / (8.0 * (2.0 * v - root))
         else:
@@ -446,6 +410,8 @@ def hysteresis_experiment(
         raise ValueError(f"p_range requires p_lo <= p_hi, got [{p_lo}, {p_hi}]")
     if count == 1 and p_lo != p_hi:
         raise ValueError("count=1 requires p_lo == p_hi")
+    if count > 1 and p_lo == p_hi:
+        raise ValueError("count > 1 requires p_lo < p_hi")
     if direction not in ("up", "down", "both"):
         raise ValueError(f"direction must be up, down or both, got {direction!r}")
     if solver not in ("mf", "quantum"):

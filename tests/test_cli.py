@@ -546,6 +546,31 @@ class TestExitCodes:
         assert "evolve.rel_tol: must be in (0, 1e-3], got 0.01" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_axis_outside_domain_is_2(self, tmp_path, capsys):
+        # both endpoints are checked as model values before any point runs
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {"task": "mf-phase-diagram", "model": {"V": -5.0, "g": 1.0, "p": 0.0},
+             "grid": {"axis1": {"name": "g", "min": 0.5, "max": 1.0, "count": 2},
+                      "axis2": {"name": "p", "min": -0.5, "max": 1.0, "count": 3}}},
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 2
+        assert "grid.axis2: p must satisfy 0 <= p <= 1, got -0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["mf", "quantum"])
+    def test_hysteresis_repeated_station_is_2(self, tmp_path, capsys, solver):
+        cfg_path = write_yaml(
+            tmp_path / "cfg.yaml",
+            {"task": "hysteresis", "model": {"V": -5.0, "g": -1.0, "p": 0.5, "N": 4},
+             "hysteresis": {"p_min": 0.5, "p_max": 0.5, "count": 3, "solver": solver}},
+        )
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 2
+        assert "hysteresis: count > 1 requires p_min < p_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_is_4(self, tmp_path):
         cfg_path = write_yaml(tmp_path / "cfg.yaml", BOUNDARIES_CFG)
         blocker = tmp_path / "blocked"

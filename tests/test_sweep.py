@@ -14,7 +14,7 @@ from dissipative_ising import (
     phase_diagram,
 )
 from dissipative_ising.liouville import N_LIMIT
-from dissipative_ising.meanfield import settle
+from dissipative_ising.meanfield import find_fixed_points, settle
 from dissipative_ising.sweep import SOUTH_POLE_SEED, Axis, GridSpec
 from settle_oracle import oracle_row
 
@@ -37,16 +37,15 @@ class TestGridSpec:
 
     def test_row_major_order(self):
         grid = GridSpec(Axis("g", 0.0, 1.0, 2), Axis("p", 0.0, 1.0, 3), FIXED)
-        params = grid.param_list()
-        assert [(prm.g, prm.p) for prm in params] == [
-            (0.0, 0.0), (0.0, 0.5), (0.0, 1.0),
-            (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
+        assert [(idx, prm.g, prm.p) for idx, prm in grid.points()] == [
+            ((0, 0), 0.0, 0.0), ((0, 1), 0.0, 0.5), ((0, 2), 0.0, 1.0),
+            ((1, 0), 1.0, 0.0), ((1, 1), 1.0, 0.5), ((1, 2), 1.0, 1.0),
         ]
 
     def test_one_dimensional_grid(self):
         grid = GridSpec(Axis("g", -1.0, 1.0, 5), None, FIXED)
         assert grid.shape == (5, 1)
-        assert len(grid.param_list()) == 5
+        assert [idx for idx, _prm in grid.points()] == [(i, 0) for i in range(5)]
 
 
 class TestPhaseDiagram:
@@ -160,34 +159,52 @@ class TestPhaseDiagram:
         assert point.error.startswith("InsufficientDataError: only 2 Z maxima")
         assert point.stable_count == 0 and not point.limit_cycle
 
-    def test_no_stable_point_cycle_runs_no_settle_window(self, monkeypatch):
-        # nothing can be captured, so the cycle check from the seed decides
-        def no_settle(*args, **kwargs):
-            raise AssertionError("a settle window ran")
+    # (params, select_branch, detect_cycles) -> the settle windows ("settle")
+    # and cycle checks ("check") of the pole-selection schedule, in order
+    SCHEDULES = {
+        # no stable point, a cycle at the seed: the check decides alone
+        "seed_cycle": ((-1.0, -1.05, 1.0), True, True, ["check"]),
+        # no stable point, the seed check cannot tell: all four windows,
+        # the check before window 1 and the last check, whose error stands
+        "undecided_seed": ((-5.0, 0.0, 0.2), True, True,
+                           ["check", "settle", "check"] + ["settle"] * 3 + ["check"]),
+        # a stable point the pole does not reach in four windows, and no
+        # cycle: no seed check
+        "stable_uncaptured": ((-5.0, -3.0, 0.9), True, True,
+                              ["settle", "check"] + ["settle"] * 3 + ["check"]),
+        # a stable point captured in window 0
+        "captured": ((-5.0, 0.8, 1.0), True, True, ["settle"]),
+        # without cycle detection only the windows run
+        "no_cycle_check": ((-5.0, 0.0, 0.2), True, False, ["settle"] * 4),
+        # no selection asked for, and a stable point: nothing runs
+        "no_selection": ((-5.0, 0.8, 1.0), False, True, []),
+    }
 
-        monkeypatch.setattr(sweep_module, "settle", no_settle)
-        prm = ModelParams(V=-1, g=-1.05, p=1)
-        pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
-        assert pt.stable_count == 0 and pt.error is None
-        assert pt.limit_cycle and math.isnan(pt.selected_Z)
+    @pytest.mark.parametrize("case", list(SCHEDULES))
+    def test_selection_schedule(self, monkeypatch, case):
+        (v, g, p), select_branch, detect_cycles, expected = self.SCHEDULES[case]
+        prm = ModelParams(V=v, g=g, p=p)
+        log = []
 
-    def test_undecided_seed_check_falls_back_to_windows(self, monkeypatch):
-        # the seed check cannot tell here; all four windows still run and
-        # the row is the whole-window one, its error included
-        prm = ModelParams(V=-5, g=0, p=0.2)
-        expected = oracle_row(prm)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
+        def settled(*args, **kwargs):
+            log.append("settle")
+            assert args[2] == 200.0
             return settle(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "settle", counted)
-        pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
-        assert calls == [200.0] * 4
-        assert expected[0] == 0 and expected[3].startswith("InsufficientDataError")
-        assert (pt.stable_count, pt.limit_cycle, pt.error) == (0, False, expected[3])
-        assert math.isnan(pt.selected_Z) and math.isnan(expected[1])
+        def checked(*args, **kwargs):
+            log.append("check")
+            return real_check(*args, **kwargs)
+
+        real_check = sweep_module._detect_cycle_from
+        monkeypatch.setattr(sweep_module, "settle", settled)
+        monkeypatch.setattr(sweep_module, "_detect_cycle_from", checked)
+        pt = sweep_module._mf_point(((0, 0), prm, select_branch, detect_cycles, 200.0))
+        assert log == expected
+        if select_branch and detect_cycles:
+            # the row is the whole-window one, its error included
+            count, z, cycle, error = oracle_row(prm)
+            assert (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error)
+            assert pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
 
     def test_cycle_check_failures_isolate(self, monkeypatch):
         def broken(traj, transient_fraction):
@@ -296,6 +313,18 @@ class TestBoundaries:
         assert row["gc_p1"] == pytest.approx(0.125, abs=0)
         assert math.isnan(row["gplus_c"])
 
+    def test_no_window_for_positive_interaction(self):
+        # 4V^2 >= Gamma^2 also holds for V >= Gamma/2, but there only the
+        # south pole is stable at p = 0
+        rows = analytic_boundaries([-5.0, 5.0], gamma=1.0)
+        assert rows[0] == analytic_boundaries([-5.0], gamma=1.0)[0]
+        assert rows[1]["gc_p1"] == rows[0]["gc_p1"]
+        for key in ("gplus_c", "gminus_c", "gplus_c_signed", "gminus_c_signed"):
+            assert math.isnan(rows[1][key])
+        for g in (0.0063, 1.0, 2.49):
+            stable = [fp for fp in find_fixed_points(ModelParams(V=5, g=g, p=0)) if fp.stable]
+            assert [fp.state[2] for fp in stable] == [-1.0]
+
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             analytic_boundaries([-5.0], gamma=0.0)
@@ -342,6 +371,11 @@ class TestHysteresis:
             hysteresis_experiment((0.5, 0.4, 3), prm)
         with pytest.raises(ValueError):
             hysteresis_experiment((0.4, 0.5, 1), prm)
+        with pytest.raises(ValueError, match="count > 1 requires p_lo < p_hi"):
+            hysteresis_experiment((0.4, 0.4, 3), prm)
+        with pytest.raises(ValueError, match="count > 1 requires p_lo < p_hi"):
+            hysteresis_experiment((0.4, 0.4, 3), ModelParams(V=-5, g=-1, p=0.4, N=4),
+                                  solver="quantum")
         with pytest.raises(ValueError):
             hysteresis_experiment((0.4, 0.5, 3), prm, direction="sideways")
         with pytest.raises(ValueError):
