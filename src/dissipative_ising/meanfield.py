@@ -11,11 +11,25 @@ decay rate, p in [0, 1] mixes the two Hamiltonian orientations):
 Total angular momentum conservation keeps on-sphere initial data on the
 unit sphere: d(r^2)/dt = (Gamma/4) Z (r^2 - 1) vanishes at r = 1.
 
+On the lines p = 1 and g = 0, dX/dt and dY/dt share the factor Z, so
+with ds = Z dt the planar flow of (X, Y) is affine-linear and has a
+first integral; the flow on the sphere retraces its planar curve across
+the equator, and its oscillations are closed neutral orbits:
+
+    p = 1:  xi = X + iY obeys dxi/ds = (Gamma/8 + iV/2) xi - i g, and
+            I = ln|w| - (Gamma/(4V)) arg w,  w = xi - i g/(Gamma/8 + iV/2)
+            (at V = 0, arg w alone);
+    g = 0:  d(X, Y)/ds = M (X, Y),  M = [[Gamma/8, -pV/2], [(2p-1)V/2, Gamma/8]];
+            with real eigenvalues l1 > l2 of M and eigen-coordinates
+            (u, v), I = l2 ln|u| - l1 ln|v|; with complex ones it takes
+            the p = 1 form in coordinates where M is a rotation-dilation.
+
 This module provides the right-hand side and its analytic Jacobian,
 closed-form steady states for the two limiting orientations p = 1 and
 p = 0, an exact enumeration of the fixed points on the sphere (closed
 forms at p = 0 and p = 1, elimination of X and Y to a polynomial of
 degree <= 6 in Z in between) with linear stability classification,
+the closed-form fate of an orbit on p = 1 and g = 0,
 adaptive trajectory integration, settling that stops once a certified
 capture region of a stable point is entered, limit-cycle detection,
 and continuation sweeps along a parameter path.  The enumeration uses
@@ -26,18 +40,21 @@ Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import InsufficientDataError, IntegrationError, NotAFixedPointError
 
 __all__ = [
     "ModelParams",
     "FixedPoint",
+    "SeedOrbit",
     "Trajectory",
     "LimitCycle",
     "ContinuationPoint",
@@ -49,6 +66,7 @@ __all__ = [
     "analytic_p0",
     "classify_stability",
     "find_fixed_points",
+    "seed_orbit",
     "integrate_trajectory",
     "settle",
     "detect_limit_cycle",
@@ -70,6 +88,9 @@ _REAL_ROOT_TOL = 1e-6
 _POLISH_STEPS = 3
 # Integrator tolerances of settle and continuation_sweep.
 _SETTLE_RTOL, _SETTLE_ATOL = 1e-12, 1e-14
+# An end of an orbit's arc in the unit disk is an equator root when the
+# orbit's first integral there is within this relative distance of its own.
+_SEPARATRIX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -458,6 +479,221 @@ def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoin
     points = [classify_stability(st, params, root_tol=10 * ROOT_TOL) for st, _ in unique]
     points.sort(key=lambda fp: (not fp.stable, fp.state[2], fp.state[0], fp.state[1]))
     return points
+
+
+@dataclass(frozen=True)
+class SeedOrbit:
+    """Where the flow on p = 1 or g = 0 takes a state of the southern hemisphere.
+
+    ``kind`` is "centre" where the orbit never reaches the equator and
+    ends at the fixed point over the planar centre (``point``, on the
+    southern hemisphere); "closed" where the orbit's arc inside the unit
+    disk crosses the equator transversally at both ends, so the flow
+    retraces the arc in the north and the orbit is a closed neutral
+    orbit (``point`` is where the state first reaches the equator);
+    "separatrix" where an end of that arc is an equator root
+    (``point``), on which the flow ends.
+    """
+
+    kind: str
+    point: np.ndarray | None = None
+
+
+def _planar_flow(params: ModelParams):
+    """(a, beta, gamma, centre) of the planar flow at p = 1 or g = 0, else None.
+
+    There dX/dt and dY/dt share the factor Z, and with ds = Z dt
+
+        d(X, Y)/ds = M ((X, Y) - centre),   M = [[a, -beta], [gamma, a]],
+
+    a = Gamma/8, beta = p V/2, gamma = (2p-1) V/2, M centre = (0, p g).
+    """
+    v, g, p = params.V, params.g, params.p
+    a = params.Gamma / 8.0
+    beta, gamma = p * v / 2.0, (2.0 * p - 1.0) * v / 2.0
+    if p == 1.0:
+        d = a * a + beta * beta
+        centre = (g * beta / d, g * a / d)
+    elif g == 0.0 and p > 0.0:
+        centre = (0.0, 0.0)
+    else:
+        return None
+    return a, beta, gamma, centre
+
+
+def _tangency_angles(params: ModelParams, a: float, beta: float, gamma: float) -> list[float]:
+    """Angles phi of the equator roots (cos phi, sin phi, 0) at p = 1 or g = 0.
+
+    They are the points of the unit circle where the planar flow is
+    tangent to it: a + (gamma - beta) X Y = p g Y.
+    """
+    if params.p == 1.0:
+        if params.g == 0.0 or abs(a / params.g) > 1.0:
+            return []
+        t = math.asin(a / params.g)
+        return [t, math.pi - t]
+    if gamma == beta or abs(2.0 * a / (gamma - beta)) > 1.0:
+        return []
+    t = 0.5 * math.asin(-2.0 * a / (gamma - beta))
+    return [t, 0.5 * math.pi - t, t + math.pi, 1.5 * math.pi - t]
+
+
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x != 0.0 else -math.inf
+
+
+def _orbit_phase(flow, seed):
+    """The seed's orbit as level sets on the unit circle, or None where degenerate.
+
+    Returns (theta, s_of, targets, splits, same_sign, backward_to_centre):
+    the circle point at angle phi lies on the seed's orbit, at flow time
+    s_of(phi), exactly where theta(phi) takes a value of targets(lo, hi)
+    (the values in [lo, hi]) and same_sign(phi) holds.  theta is
+    continuous between the angles ``splits`` and changes monotonically
+    between tangency angles; ``backward_to_centre`` says whether the
+    flow run backward in s tends to the centre.
+
+    With N = M - a I, N^2 = -kappa I, kappa = beta gamma.  For kappa > 0
+    (a focus) and for N = 0 (a star) zeta = t1 (X - Xc) + i (Y - Yc),
+    t1 = sqrt(gamma / beta), obeys dzeta/ds = (a + i nu) zeta with
+    nu = sign(beta) sqrt(kappa), so ln|zeta| - (a/nu) arg zeta is a first
+    integral; theta = arg zeta - (nu/a) ln|zeta| is it, rescaled, and is
+    fixed modulo 2 pi.  For kappa < 0 the eigen-coordinates u, v of M
+    grow as exp(l1 s) and exp(l2 s), l1,2 = a +/- sqrt(-kappa), and
+    theta = ln|u/u0|/l1 - ln|v/v0|/l2 vanishes on the orbit.  A Jordan
+    block (kappa = 0, N != 0), det M = 0, a seed on an eigenline and a
+    centre on the unit circle have no such form here.
+    """
+    a, beta, gamma, (xc, yc) = flow
+    kappa = beta * gamma
+    if kappa > 0.0 or beta == gamma == 0.0:
+        t1 = math.sqrt(gamma / beta) if kappa > 0.0 else 1.0
+        nu = math.copysign(math.sqrt(kappa), beta)
+        rotation = nu / a
+        # on the circle zeta = A e^{i phi} + B e^{-i phi} + C with A > |B|;
+        # the lift of arg zeta is continuous where A or C dominates
+        big_a, big_b, big_c = (t1 + 1.0) / 2.0, abs(t1 - 1.0) / 2.0, complex(-t1 * xc, -yc)
+        if big_a > big_b + abs(big_c):
+            def arg(phi, z):
+                return phi + cmath.phase(z * cmath.exp(-1j * phi))
+        elif abs(big_c) > big_a + big_b:
+            def arg(phi, z):
+                return cmath.phase(big_c) + cmath.phase(z / big_c)
+        else:
+            return None
+        z0 = complex(t1 * (seed[0] - xc), seed[1] - yc)
+        log_r0 = math.log(abs(z0))
+        theta0 = cmath.phase(z0) - rotation * log_r0
+
+        def zeta(phi):
+            return complex(t1 * (math.cos(phi) - xc), math.sin(phi) - yc)
+
+        def theta(phi):
+            z = zeta(phi)
+            return arg(phi, z) - rotation * math.log(abs(z))
+
+        def s_of(phi):
+            return (math.log(abs(zeta(phi))) - log_r0) / a
+
+        def targets(lo, hi):
+            k = math.ceil((lo - theta0) / (2.0 * math.pi))
+            while theta0 + 2.0 * math.pi * k <= hi:
+                yield theta0 + 2.0 * math.pi * k
+                k += 1
+
+        return theta, s_of, targets, [], lambda _phi: True, True
+
+    mu = math.sqrt(-kappa)
+    l1, l2 = a + mu, a - mu
+    if mu == 0.0 or l2 == 0.0:
+        return None
+
+    def coords(x, y):
+        return 0.5 * (-x / beta + y / mu), 0.5 * (-x / beta - y / mu)
+
+    u0, v0 = coords(seed[0], seed[1])
+    if u0 == 0.0 or v0 == 0.0:
+        return None
+
+    def theta(phi):
+        u, v = coords(math.cos(phi), math.sin(phi))
+        return (_log_abs(u) - _log_abs(u0)) / l1 - (_log_abs(v) - _log_abs(v0)) / l2
+
+    def s_of(phi):
+        u, _v = coords(math.cos(phi), math.sin(phi))
+        return (_log_abs(u) - _log_abs(u0)) / l1
+
+    def targets(lo, hi):
+        if lo <= 0.0 <= hi:
+            yield 0.0
+
+    def same_sign(phi):
+        u, v = coords(math.cos(phi), math.sin(phi))
+        return u * u0 > 0.0 and v * v0 > 0.0
+
+    # u and v vanish on the eigenlines of M
+    splits = [math.atan2(mu, beta), math.atan2(-mu, beta)]
+    splits += [t + math.pi for t in splits]
+    return theta, s_of, targets, splits, same_sign, l2 > 0.0
+
+
+def seed_orbit(state, params: ModelParams) -> SeedOrbit | None:
+    """The fate of the orbit through ``state`` (Z < 0) on p = 1 or g = 0, in closed form.
+
+    On these lines the planar flow of ``_planar_flow`` is linear in s,
+    so the orbit through (X, Y) is a level set of a first integral.
+    The points where it meets the unit circle are the roots, on the arcs
+    between the equator roots (where the flow is tangent to the circle),
+    of that integral's equation; brentq finds each of them, with its
+    flow time s.  The seed moves backward in s while Z < 0.  Without a
+    crossing at s < 0 the seed tends to the centre; otherwise the
+    nearest crossings on both sides end the orbit's arc in the disk.
+    An end that meets an equator root within a relative 1e-9 of its
+    integral makes a separatrix.
+
+    Returns None off those lines and where the closed form degenerates:
+    see ``_orbit_phase``.
+    """
+    state = np.asarray(state, dtype=float)
+    flow = _planar_flow(params)
+    if flow is None or not state[2] < 0.0:
+        return None
+    phase = _orbit_phase(flow, state[:2])
+    if phase is None:
+        return None
+    theta, s_of, targets, splits, same_sign, backward_to_centre = phase
+    tangent = _tangency_angles(params, *flow[:3])
+    cuts = sorted([(t % (2.0 * math.pi), True) for t in tangent]
+                  + [(t % (2.0 * math.pi), False) for t in splits]) or [(0.0, False)]
+    arcs = [(lo, hi, at_root) for (lo, at_root), (hi, _) in
+            zip(cuts, cuts[1:] + [(cuts[0][0] + 2.0 * math.pi, cuts[0][1])])]
+    crossings = []  # (s, phi, at an equator root)
+    for lo, hi, at_root in arcs:
+        if not same_sign(0.5 * (lo + hi)):
+            continue
+        t_lo, t_hi = theta(lo), theta(hi)
+        # the margin admits targets within tolerance of an arc's end; an
+        # end is counted by the arc it starts
+        for target in targets(min(t_lo, t_hi) - 1.0, max(t_lo, t_hi) + 1.0):
+            tol = _SEPARATRIX_TOL * max(1.0, abs(target))
+            if abs(t_lo - target) <= tol:
+                crossings.append((s_of(lo), lo, at_root))
+            elif abs(t_hi - target) > tol and (t_lo - target) * (t_hi - target) < 0.0:
+                phi = brentq(lambda x, t=target: math.atan(theta(x) - t), lo, hi, xtol=1e-14)
+                crossings.append((s_of(phi), phi, False))
+    backward = max((c for c in crossings if c[0] < 0.0), default=None)
+    forward = min((c for c in crossings if c[0] > 0.0), default=None)
+    if forward is None:
+        return None
+    if backward is None:
+        xc, yc = flow[3]
+        if not backward_to_centre or xc * xc + yc * yc >= 1.0:
+            return None
+        return SeedOrbit("centre", np.array([xc, yc, -math.sqrt(1.0 - xc * xc - yc * yc)]))
+    for _s, phi, at_root in (backward, forward):
+        if at_root:
+            return SeedOrbit("separatrix", np.array([math.cos(phi), math.sin(phi), 0.0]))
+    return SeedOrbit("closed", np.array([math.cos(backward[1]), math.sin(backward[1]), 0.0]))
 
 
 def integrate_trajectory(

@@ -34,6 +34,7 @@ from .meanfield import (
     detect_limit_cycle,
     find_fixed_points,
     integrate_trajectory,
+    seed_orbit,
     settle,
 )
 
@@ -137,22 +138,41 @@ def _select_branch(
 ):
     """Z of the stable fixed point reached from (just off) the south pole.
 
-    The pole trajectory settles in up to four windows of ``settle_time``.
-    A window ends as soon as the trajectory enters the certified capture
-    region of a stable point, which then is the selected branch.  With
-    ``detect_cycles``, the cycle check runs before window 0 where nothing
-    is stable (so nothing can be captured) and before window 1, and a
-    cycle found there ends the point; a check that cannot tell goes on
-    to the next window.  A trajectory that is neither captured nor
-    converged after four windows selects NaN; with ``detect_cycles`` a
-    last check from its end sets the cycle flag, or gives the row's
-    error where it cannot tell.
+    On the integrable lines p = 1 and g = 0 the pole orbit is decided in
+    closed form (``meanfield.seed_orbit``), with no integration.  An
+    orbit that tends to the planar centre selects the stable point
+    there.  An orbit that crosses the equator is closed and neutral: it
+    sets the limit-cycle flag (with ``detect_cycles``), though it
+    attracts nothing and its shape depends on the seed.  An orbit that
+    ends on an equator root is a separatrix and gives the row's error.
+    Where the closed form degenerates, or its centre is not a stable
+    point, the schedule below runs.
+
+    Elsewhere the pole trajectory settles in up to four windows of
+    ``settle_time``.  A window ends as soon as the trajectory enters the
+    certified capture region of a stable point, which then is the
+    selected branch.  With ``detect_cycles``, the cycle check runs before
+    window 1, and a cycle found there ends the point; a check that
+    cannot tell goes on to the next window.  A trajectory that is neither
+    captured nor converged after four windows selects NaN; with
+    ``detect_cycles`` a last check from its end sets the cycle flag, or
+    gives the row's error where it cannot tell.
 
     Returns (selected Z, limit cycle, error).
     """
+    orbit = seed_orbit(SOUTH_POLE_SEED, params)
+    if orbit is not None:
+        if orbit.kind == "closed":
+            return math.nan, detect_cycles, None
+        if orbit.kind == "separatrix":
+            root = ", ".join(f"{c:.6g}" for c in orbit.point)
+            return math.nan, False, f"separatrix: the pole orbit ends on the equator root ({root})"
+        z = _nearest_stable_z(orbit.point, stable)
+        if z is not None:
+            return z, False, None
     end = SOUTH_POLE_SEED
     for window in range(4):
-        if detect_cycles and (window == 1 or (window == 0 and not stable)):
+        if detect_cycles and window == 1:
             try:
                 if _detect_cycle_from(end, params):
                     return math.nan, True, None
@@ -168,12 +188,17 @@ def _select_branch(
             return math.nan, _detect_cycle_from(end, params), None
         except InsufficientDataError as exc:
             return math.nan, False, reason(exc)
-    if stable:
-        dists = [np.linalg.norm(end - fp.state) for fp in stable]
-        k = int(np.argmin(dists))
-        if dists[k] < 1e-3:
-            return float(stable[k].state[2]), False, None
-    return float(end[2]), False, None
+    z = _nearest_stable_z(end, stable)
+    return (float(end[2]) if z is None else z), False, None
+
+
+def _nearest_stable_z(state, stable: list[FixedPoint]) -> float | None:
+    """Z of the stable point nearest ``state`` if it lies within 1e-3, else None."""
+    if not stable:
+        return None
+    dists = [np.linalg.norm(state - fp.state) for fp in stable]
+    k = int(np.argmin(dists))
+    return float(stable[k].state[2]) if dists[k] < 1e-3 else None
 
 
 def _detect_cycle_from(state, params: ModelParams) -> bool:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from dissipative_ising import (
@@ -22,6 +23,7 @@ from dissipative_ising import (
     settle,
 )
 from dissipative_ising.meanfield import (
+    seed_orbit,
     ROOT_TOL,
     _capture_region,
     _jacobian_many,
@@ -446,6 +448,140 @@ class TestCapture:
         stable = [fp for fp in find_fixed_points(prm) if fp.stable]
         s0 = [1e-3, 1e-3, -math.sqrt(1 - 2e-6)]
         assert np.array_equal(settle(s0, prm, 50.0, capture=stable), settle(s0, prm, 50.0))
+
+
+def pole_offset(d):
+    """A state d off the south pole in X and in Y."""
+    return np.array([d, d, -math.sqrt(1.0 - 2.0 * d * d)])
+
+
+def p1_integral(states, prm):
+    """ln|w| - (Gamma/4V) arg w, w = xi - i g/(Gamma/8 + i V/2), arg unwrapped."""
+    w = states[:, 0] + 1j * states[:, 1] - 1j * prm.g / (prm.Gamma / 8.0 + 0.5j * prm.V)
+    return np.log(np.abs(w)) - prm.Gamma / (4.0 * prm.V) * np.unwrap(np.angle(w))
+
+
+def g0_integral(states, prm):
+    """l2 ln|u| - l1 ln|v| in the eigen-coordinates (u, v) of M, l1 > l2 real."""
+    a, p, v = prm.Gamma / 8.0, prm.p, prm.V
+    lam, vec = np.linalg.eig(np.array([[a, -p * v / 2.0], [(2.0 * p - 1.0) * v / 2.0, a]]))
+    assert np.isreal(lam).all()
+    order = np.argsort(-lam.real)
+    lam, vec = lam.real[order], vec.real[:, order]
+    u, w = np.linalg.solve(vec, states[:, :2].T)
+    return lam[1] * np.log(np.abs(u)) - lam[0] * np.log(np.abs(w))
+
+
+class TestFirstIntegral:
+    """On p = 1 and g = 0, dX/dt and dY/dt share the factor Z: with ds = Z dt
+    the planar flow is affine-linear and has a first integral."""
+
+    @pytest.mark.parametrize("v,g", [(-5.0, 3.0), (-2.0, 4.0), (-1.0, -1.05)])
+    @pytest.mark.parametrize("d", [1e-3, 1e-2, 1e-1])
+    def test_conserved_at_p1(self, v, g, d):
+        prm = ModelParams(V=v, g=g, p=1.0)
+        traj = integrate_trajectory(pole_offset(d), prm, t_end=300.0)
+        z = traj.states[:, 2]
+        assert (np.diff(np.sign(z)) != 0).sum() > 50  # the orbit keeps crossing the equator
+        integral = p1_integral(traj.states, prm)
+        assert np.abs(integral - integral[0]).max() < 1e-8
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4])
+    def test_conserved_at_g0(self, p):
+        prm = ModelParams(V=-5.0, g=0.0, p=p)
+        traj = integrate_trajectory(pole_offset(1e-3), prm, t_end=400.0)
+        z = traj.states[:, 2]
+        assert (np.diff(np.sign(z)) != 0).sum() > 10
+        integral = g0_integral(traj.states, prm)
+        assert np.abs(integral - integral[0]).max() < 1e-6
+
+
+class TestSeedOrbit:
+    def test_none_off_the_lines_and_where_degenerate(self):
+        seed = pole_offset(1e-3)
+        for prm in (
+            ModelParams(V=-5, g=-1, p=0.5),  # off both lines
+            ModelParams(V=-5, g=0, p=0),  # g = 0 at p = 0
+            ModelParams(V=-5, g=0, p=0.5),  # a Jordan block
+            ModelParams(V=0, g=1, p=1, Gamma=8),  # the centre on the equator
+        ):
+            assert seed_orbit(seed, prm) is None, prm
+        assert seed_orbit(-seed, ModelParams(V=-5, g=1, p=1)) is None  # a northern state
+
+    @pytest.mark.parametrize("v,g", [(-5.0, 0.4), (-5.0, -1.2), (-0.3, 0.1), (0.0, 0.05), (2.0, 0.0)])
+    def test_centre_is_the_closed_form_root(self, v, g):
+        prm = ModelParams(V=v, g=g, p=1.0)
+        orbit = seed_orbit(pole_offset(1e-3), prm)
+        assert orbit.kind == "centre"
+        assert np.abs(orbit.point - analytic_p1(prm)).max() < 1e-12
+
+    def test_verdicts_match_integration(self):
+        # closed: the trajectory reaches the equator, where the closed form
+        # says; centre: it never does and ends at the centre
+        rng = np.random.default_rng(7)
+        kinds = []
+        for k in range(24):
+            if k % 2:
+                prm = ModelParams(V=float(rng.uniform(-6, 6)), g=float(rng.uniform(-3, 3)), p=1.0)
+            else:
+                prm = ModelParams(V=float(rng.uniform(-6, 6)), g=0.0, p=float(rng.uniform(0.05, 0.95)))
+            state = pole_offset(float(10.0 ** rng.uniform(-3, -1)))
+            orbit = seed_orbit(state, prm)
+            if orbit is None:
+                continue
+
+            def equator(_t, y):
+                return y[2]
+
+            equator.terminal = True
+            sol = solve_ivp(_ode_rhs(prm), (0.0, 600.0), state, method="DOP853",
+                            rtol=1e-10, atol=1e-12, events=equator)
+            kinds.append(orbit.kind)
+            if orbit.kind == "closed":
+                assert sol.t_events[0].size == 1, prm
+                assert np.abs(sol.y_events[0][0] - orbit.point).max() < 1e-6, prm
+            else:
+                assert orbit.kind == "centre" and sol.t_events[0].size == 0, prm
+                assert np.abs(sol.y[:, -1] - orbit.point).max() < 1e-6, prm
+        assert {"closed", "centre"} <= set(kinds)
+
+    @pytest.mark.parametrize("v,g,p", [(-5.0, 1.5, 1.0), (-1.0, 0.5, 1.0), (-5.0, 0.0, 0.8),
+                                       (3.0, 0.0, 0.7)])
+    def test_separatrix_ends_on_the_equator_root(self, v, g, p):
+        # states on the orbit through an equator root, where the flow is
+        # tangent to the equator, a little after the root in s (ds = Z dt),
+        # so that the flow carries them onto it; the planar flow
+        # d(X, Y)/ds = M ((X, Y) - c) is solved with expm
+        prm = ModelParams(V=v, g=g, p=p)
+        a = prm.Gamma / 8.0
+        m = np.array([[a, -p * v / 2.0], [(2.0 * p - 1.0) * v / 2.0, a]])
+        centre = np.linalg.solve(m, [0.0, p * g])
+        roots = [fp.state for fp in find_fixed_points(prm) if abs(fp.state[2]) < 1e-12]
+        found = 0
+        for root in roots:
+            xy = centre + scipy.linalg.expm(m * 1e-2) @ (root[:2] - centre)
+            if xy @ xy >= 1.0:
+                continue  # the orbit touches the equator from outside there
+            state = np.array([xy[0], xy[1], -math.sqrt(1.0 - xy @ xy)])
+            orbit = seed_orbit(state, prm)
+            assert orbit.kind == "separatrix", (prm, root)
+            assert np.abs(orbit.point - root).max() < 1e-9, (prm, root)
+            found += 1
+        assert found
+
+    def test_pole_orbit_beside_a_stable_focus(self):
+        # at p = 1, g = 1.5 the pole orbit is closed; a state on the orbit
+        # through an equator root, before the root in s, runs into the focus
+        prm = ModelParams(V=-5.0, g=1.5, p=1.0)
+        assert seed_orbit(pole_offset(1e-3), prm).kind == "closed"
+        lam = prm.Gamma / 8.0 + 0.5j * prm.V
+        centre = 1j * prm.g / lam
+        y = prm.Gamma / (8.0 * prm.g)
+        root = complex(-math.sqrt(1.0 - y * y), y)
+        xi = centre + (root - centre) * np.exp(-1e-2 * lam)
+        orbit = seed_orbit(np.array([xi.real, xi.imag, -math.sqrt(1.0 - abs(xi) ** 2)]), prm)
+        assert orbit.kind == "centre"
+        assert np.abs(orbit.point - analytic_p1(prm)).max() < 1e-12
 
 
 class TestLimitCycle:

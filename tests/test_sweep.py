@@ -14,7 +14,7 @@ from dissipative_ising import (
     phase_diagram,
 )
 from dissipative_ising.liouville import N_LIMIT
-from dissipative_ising.meanfield import find_fixed_points, settle
+from dissipative_ising.meanfield import SeedOrbit, find_fixed_points, integrate_trajectory, settle
 from dissipative_ising.sweep import SOUTH_POLE_SEED, Axis, GridSpec
 from settle_oracle import oracle_row
 
@@ -73,8 +73,8 @@ class TestPhaseDiagram:
             assert pt.selected_Z == pytest.approx(analytic_p1(pt.params)[2], abs=1e-6)
 
     def test_selection_reports_coexisting_cycle(self):
-        # at p=1, g=1.5 a limit cycle coexists with the stable point and
-        # captures the pole, so branch selection reports the cycle instead
+        # at p=1, g=1.5 the pole orbit is closed beside the stable focus, so
+        # branch selection reports the cycle instead
         grid = GridSpec(Axis("g", 1.5, 1.6, 2), None, ModelParams(V=-5, g=0, p=1))
         points = phase_diagram(grid, settle_time=150.0)
         for pt in points:
@@ -152,32 +152,45 @@ class TestPhaseDiagram:
         assert points[0].stable_count == 1 and points[2].stable_count == 1
 
     def test_undecided_cycle_check_records_reason(self):
-        # at V=-5, g=0, p=0.2 the pole trajectory neither settles nor shows
-        # enough Z maxima in the cycle window to call it a cycle
-        grid = GridSpec(Axis("p", 0.2, 0.3, 2), None, ModelParams(V=-5, g=0, p=0))
+        # at V=0, g=1, p=1, Gamma=8 the planar centre lies on the equator, where
+        # the closed form of the pole orbit degenerates: the trajectory creeps
+        # toward that marginal root, and the cycle window sees no oscillation
+        grid = GridSpec(Axis("g", 1.0, 2.0, 2), None, ModelParams(V=0, g=0, p=1, Gamma=8))
         point = multistability_map(grid)[0]
-        assert point.error.startswith("InsufficientDataError: only 2 Z maxima")
+        assert point.error == "InsufficientDataError: window holds no complete oscillation"
         assert point.stable_count == 0 and not point.limit_cycle
+
+    def test_undriven_pole_orbit_is_closed(self):
+        # at V=-5, g=0, p=0.2 the pole is a saddle of the planar flow: the
+        # pole orbit crosses the equator and is closed
+        grid = GridSpec(Axis("p", 0.2, 0.3, 2), None, ModelParams(V=-5, g=0, p=0))
+        for point in multistability_map(grid):
+            assert point.stable_count == 0 and point.limit_cycle
+            assert point.error is None and math.isnan(point.selected_Z)
 
     # (params, select_branch, detect_cycles) -> the settle windows ("settle")
     # and cycle checks ("check") of the pole-selection schedule, in order
     SCHEDULES = {
-        # no stable point, a cycle at the seed: the check decides alone
-        "seed_cycle": ((-1.0, -1.05, 1.0), True, True, ["check"]),
-        # no stable point, the seed check cannot tell: all four windows,
-        # the check before window 1 and the last check, whose error stands
-        "undecided_seed": ((-5.0, 0.0, 0.2), True, True,
-                           ["check", "settle", "check"] + ["settle"] * 3 + ["check"]),
+        # on the integrable lines p = 1 and g = 0 the closed form decides:
+        # a closed orbit with no stable point, at p = 1 and at g = 0
+        "seed_cycle": ((-1.0, -1.05, 1.0), True, True, []),
+        "undecided_seed": ((-5.0, 0.0, 0.2), True, True, []),
+        # a stable focus that the pole orbit spirals into
+        "captured": ((-5.0, 0.8, 1.0), True, True, []),
+        # a closed orbit without cycle detection: NaN and no flag
+        "no_cycle_check": ((-5.0, 0.0, 0.2), True, False, []),
+        # no selection asked for, and a stable point: nothing runs
+        "no_selection": ((-5.0, 0.8, 1.0), False, True, []),
         # a stable point the pole does not reach in four windows, and no
-        # cycle: no seed check
+        # cycle: the check before window 1 and the last check
         "stable_uncaptured": ((-5.0, -3.0, 0.9), True, True,
                               ["settle", "check"] + ["settle"] * 3 + ["check"]),
         # a stable point captured in window 0
-        "captured": ((-5.0, 0.8, 1.0), True, True, ["settle"]),
+        "captured_interior": ((-5.0, 0.8, 0.5), True, True, ["settle"]),
         # without cycle detection only the windows run
-        "no_cycle_check": ((-5.0, 0.0, 0.2), True, False, ["settle"] * 4),
+        "no_cycle_check_interior": ((-5.0, -3.0, 0.9), True, False, ["settle"] * 4),
         # no selection asked for, and a stable point: nothing runs
-        "no_selection": ((-5.0, 0.8, 1.0), False, True, []),
+        "no_selection_interior": ((-5.0, 0.8, 0.5), False, True, []),
     }
 
     @pytest.mark.parametrize("case", list(SCHEDULES))
@@ -200,8 +213,11 @@ class TestPhaseDiagram:
         monkeypatch.setattr(sweep_module, "_detect_cycle_from", checked)
         pt = sweep_module._mf_point(((0, 0), prm, select_branch, detect_cycles, 200.0))
         assert log == expected
-        if select_branch and detect_cycles:
-            # the row is the whole-window one, its error included
+        if not detect_cycles:
+            assert not pt.limit_cycle
+        if select_branch and detect_cycles and g != 0.0:
+            # the row is the whole-window one, its error included (at g = 0
+            # see TestSelectionOracle)
             count, z, cycle, error = oracle_row(prm)
             assert (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error)
             assert pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
@@ -211,7 +227,8 @@ class TestPhaseDiagram:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweep_module, "detect_limit_cycle", broken)
-        grid = GridSpec(Axis("g", 2.9, 3.1, 2), None, ModelParams(V=-5, g=0, p=1))
+        # the pole trajectory is not captured in window 0 at either point
+        grid = GridSpec(Axis("g", -3.0, -2.9, 2), None, ModelParams(V=-5, g=0, p=0.9))
         points = phase_diagram(grid, settle_time=20.0)
         for pt in points:
             assert pt.error == "RuntimeError: synthetic failure"
@@ -242,7 +259,7 @@ class TestSelectionOracle:
     ))
 
     def test_matches_four_window_oracle(self):
-        changed = []
+        changed, closed = [], []
         for v, p, g in self.GRID:
             prm = ModelParams(V=v, g=g, p=p)
             count, z, cycle, error = oracle_row(prm)
@@ -252,8 +269,22 @@ class TestSelectionOracle:
                 continue
             # rows may differ only where the oracle neither converged nor saw a cycle
             assert math.isnan(z) and not cycle, (v, p, g)
-            changed.append((prm, pt))
+            if g == 0.0 and pt.limit_cycle:
+                closed.append((prm, pt))
+            else:
+                changed.append((prm, pt))
         assert changed  # the grid holds slow relaxations that only capture settles
+        assert closed  # and closed g = 0 orbits the cycle window cannot call
+        for prm, pt in closed:
+            # at g = 0 with det M < 0 the pole is a saddle of the planar flow
+            # d(X, Y)/ds = M (X, Y), ds = Z dt; the first integral
+            # l2 ln|u| - l1 ln|v| (l1 > 0 > l2, u and v its eigen-coordinates)
+            # makes |v| grow without bound as s falls, so the pole orbit
+            # leaves the unit disk: it crosses the equator and is closed
+            a, p, v = prm.Gamma / 8.0, prm.p, prm.V
+            det = a * a + p * (2.0 * p - 1.0) * v * v / 4.0
+            assert 0.0 < p < 1.0 and det < 0.0, prm
+            assert pt.stable_count == 0 and pt.error is None and math.isnan(pt.selected_Z)
         for prm, pt in changed:
             # a slow relaxation onto the captured root that four windows
             # were too short to finish
@@ -262,6 +293,63 @@ class TestSelectionOracle:
             # (a reflected pair of roots can share the selected Z)
             roots = [fp.state for fp in pt.stable_points if fp.state[2] == pt.selected_Z]
             assert min(np.abs(end - root).max() for root in roots) < 1e-13, prm
+
+
+class TestIntegrableLines:
+    """The closed-form pole orbit on p = 1 and g = 0 against integration."""
+
+    @staticmethod
+    def no_integration(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated on an integrable line")
+
+        monkeypatch.setattr(sweep_module, "settle", refuse)
+        monkeypatch.setattr(sweep_module, "_detect_cycle_from", refuse)
+
+    def test_p1_subgrid_matches_whole_window_oracle(self, monkeypatch):
+        self.no_integration(monkeypatch)
+        cycles = 0
+        for v, g in itertools.product(np.linspace(-10.0, -0.25, 8), np.linspace(-4.0, 4.0, 9)):
+            prm = ModelParams(V=float(v), g=float(g), p=1.0)
+            # four 100-unit windows settle every stable cell of this grid;
+            # 200-unit windows give the same rows in 1.7 times the time
+            count, z, cycle, error = oracle_row(prm, settle_time=100.0)
+            pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
+            assert (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error), prm
+            assert pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z)), prm
+            cycles += cycle
+        assert 0 < cycles < 72
+
+    def test_undriven_closed_orbits_return_to_the_seed_level_set(self, monkeypatch):
+        # the g = 0 column of fig3b_multistability (V = -5)
+        grid = GridSpec(Axis("p", 0.0, 1.0, 41), None, ModelParams(V=-5, g=0, p=0))
+        self.no_integration(monkeypatch)
+        closed = [pt.params for pt in multistability_map(grid) if pt.limit_cycle]
+        monkeypatch.undo()
+        assert len(closed) == 19
+        for prm in closed:
+            traj = integrate_trajectory(SOUTH_POLE_SEED, prm, t_end=400.0)
+            # the first integral l2 ln|u| - l1 ln|v| in M's eigen-coordinates
+            a, p, v = prm.Gamma / 8.0, prm.p, prm.V
+            lam, vec = np.linalg.eig(np.array([[a, -p * v / 2.0], [(2.0 * p - 1.0) * v / 2.0, a]]))
+            lam, vec = lam.real, vec.real
+            u, w = np.linalg.solve(vec, traj.states[:, :2].T)
+            integral = lam[1] * np.log(np.abs(u)) - lam[0] * np.log(np.abs(w))
+            assert np.abs(integral - integral[0]).max() < 1e-5, prm
+            # north across the equator, back south, and through the seed again
+            crossings = np.flatnonzero(np.diff(np.sign(traj.states[:, 2])))
+            assert crossings.size >= 4, prm
+            back = traj.times > traj.times[crossings[1]]
+            assert np.linalg.norm(traj.states[back] - SOUTH_POLE_SEED, axis=1).min() < 1e-5, prm
+
+    def test_separatrix_gives_row_error(self, monkeypatch):
+        root = np.array([-0.5, 0.25, 0.0])
+        monkeypatch.setattr(sweep_module, "seed_orbit",
+                            lambda _state, _prm: SeedOrbit("separatrix", root))
+        self.no_integration(monkeypatch)
+        pt = sweep_module._mf_point(((0, 0), ModelParams(V=-5, g=1.5, p=1), True, True, 200.0))
+        assert math.isnan(pt.selected_Z) and not pt.limit_cycle
+        assert pt.error == "separatrix: the pole orbit ends on the equator root (-0.5, 0.25, 0)"
 
 
 class TestMultistability:
@@ -276,8 +364,8 @@ class TestMultistability:
         assert max(pt.stable_count for pt in points) == 3
 
     def test_settle_time_reaches_settle(self, monkeypatch):
-        # no stable point at V=-5, g=0, p=0.2: the seed check cannot tell,
-        # so the pole trajectory settles in windows of the given length
+        # no stable point at V=0, g=1, p=1, Gamma=8, where the closed form
+        # degenerates: the pole trajectory settles in windows of the given length
         calls = []
 
         def counted(*args, **kwargs):
@@ -285,7 +373,7 @@ class TestMultistability:
             return settle(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "settle", counted)
-        grid = GridSpec(Axis("p", 0.2, 0.3, 2), None, FIXED)
+        grid = GridSpec(Axis("g", 1.0, 2.0, 2), None, ModelParams(V=0, g=0, p=1, Gamma=8))
         points = multistability_map(grid, settle_time=50.0)
         assert points[0].stable_count == 0
         assert calls and set(calls) == {50.0}
