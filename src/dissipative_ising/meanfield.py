@@ -614,14 +614,26 @@ def _orbit_phase(flow, seed):
     u0, v0 = coords(seed[0], seed[1])
     if u0 == 0.0 or v0 == 0.0:
         return None
+    # on the circle u and v carry a rounding error of a few ulps of 1/|beta|
+    # and 1/mu; below that they count as zero.  An orbit of a saddle with a
+    # small |l2| leaves the disk where |u| is far smaller (1e-21 at V = -1,
+    # p = 0.2), so its crossing is resolved only as the eigenline's.
+    floor = 8.0 * np.finfo(float).eps * (1.0 / abs(beta) + 1.0 / mu)
+
+    def circle_coords(phi):
+        u, v = coords(math.cos(phi), math.sin(phi))
+        return (u if abs(u) > floor else 0.0), (v if abs(v) > floor else 0.0)
 
     def theta(phi):
-        u, v = coords(math.cos(phi), math.sin(phi))
+        u, v = circle_coords(phi)
         return (_log_abs(u) - _log_abs(u0)) / l1 - (_log_abs(v) - _log_abs(v0)) / l2
 
     def s_of(phi):
-        u, _v = coords(math.cos(phi), math.sin(phi))
-        return (_log_abs(u) - _log_abs(u0)) / l1
+        # on the orbit both coordinates give s; the larger is the accurate one
+        u, v = circle_coords(phi)
+        if abs(u) >= abs(v):
+            return (_log_abs(u) - _log_abs(u0)) / l1
+        return (_log_abs(v) - _log_abs(v0)) / l2
 
     def targets(lo, hi):
         if lo <= 0.0 <= hi:

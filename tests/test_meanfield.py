@@ -519,13 +519,16 @@ class TestSeedOrbit:
         # closed: the trajectory reaches the equator, where the closed form
         # says; centre: it never does and ends at the centre
         rng = np.random.default_rng(7)
-        kinds = []
+        cells = [(ModelParams(V=-1.0, g=0.0, p=0.2), pole_offset(1e-3))]  # |u| ~ 1e-21 at the exit
         for k in range(24):
             if k % 2:
                 prm = ModelParams(V=float(rng.uniform(-6, 6)), g=float(rng.uniform(-3, 3)), p=1.0)
             else:
                 prm = ModelParams(V=float(rng.uniform(-6, 6)), g=0.0, p=float(rng.uniform(0.05, 0.95)))
-            state = pole_offset(float(10.0 ** rng.uniform(-3, -1)))
+            cells.append((prm, pole_offset(float(10.0 ** rng.uniform(-3, -1)))))
+        assert seed_orbit(cells[0][1], cells[0][0]).kind == "closed"
+        kinds = []
+        for prm, state in cells:
             orbit = seed_orbit(state, prm)
             if orbit is None:
                 continue
