@@ -27,8 +27,10 @@ the equator, and its oscillations are closed neutral orbits:
 This module provides the right-hand side and its analytic Jacobian,
 closed-form steady states for the two limiting orientations p = 1 and
 p = 0, an exact enumeration of the fixed points on the sphere (closed
-forms at p = 0 and p = 1, elimination of X and Y to a polynomial of
-degree <= 6 in Z in between) with linear stability classification,
+forms at p = 0, p = 1 and g = 0, elimination of X and Y to a polynomial
+of degree <= 6 in Z elsewhere) with linear stability classification,
+which runs over a whole list of parameter sets in one stacked pass
+whose rows do not depend on each other,
 the closed-form fate of an orbit on p = 1 and g = 0,
 adaptive trajectory integration, settling that stops once a certified
 capture region of a stable point is entered, limit-cycle detection,
@@ -45,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -66,6 +67,7 @@ __all__ = [
     "analytic_p0",
     "classify_stability",
     "find_fixed_points",
+    "find_fixed_points_many",
     "seed_orbit",
     "integrate_trajectory",
     "settle",
@@ -126,6 +128,29 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class _ParamRows:
+    """Model parameters of a stack of rows, one array entry per row.
+
+    It stands in for ModelParams in the stacked flow, Jacobian and Newton
+    polish: every row is evaluated under its own parameters by the same
+    elementwise operations, in the same order, as on its own.
+    """
+
+    V: np.ndarray
+    g: np.ndarray
+    p: np.ndarray
+    Gamma: np.ndarray
+
+    @classmethod
+    def of(cls, params_seq) -> _ParamRows:
+        return cls(*(np.array([getattr(prm, name) for prm in params_seq], dtype=float)
+                     for name in ("V", "g", "p", "Gamma")))
+
+    def take(self, index) -> _ParamRows:
+        return _ParamRows(self.V[index], self.g[index], self.p[index], self.Gamma[index])
+
+
+@dataclass(frozen=True)
 class FixedPoint:
     """A root of the Bloch flow with its linear stability verdict.
 
@@ -168,8 +193,11 @@ class ContinuationPoint:
     residual: float
 
 
-def _flow(x, y, z, params: ModelParams):
-    """The three Bloch components; x, y, z are floats or equal-shape arrays."""
+def _flow(x, y, z, params: ModelParams | _ParamRows):
+    """The three Bloch components; x, y, z are floats or equal-shape arrays.
+
+    With ``_ParamRows`` the parameters are arrays of that shape too.
+    """
     v, g, p, gam = params.V, params.g, params.p, params.Gamma
     fx = -p * (v / 2.0) * y * z - (1.0 - p) * g * y + (gam / 8.0) * x * z
     fy = (
@@ -181,7 +209,7 @@ def _flow(x, y, z, params: ModelParams):
     return fx, fy, fz
 
 
-def _rhs_many(states: np.ndarray, params: ModelParams) -> np.ndarray:
+def _rhs_many(states: np.ndarray, params: ModelParams | _ParamRows) -> np.ndarray:
     """Bloch right-hand side for a stack of states, shape (n, 3)."""
     return np.stack(_flow(states[..., 0], states[..., 1], states[..., 2], params), axis=-1)
 
@@ -207,7 +235,7 @@ def bloch_rhs(state, params: ModelParams) -> np.ndarray:
     return _rhs_many(state[None, :], params)[0]
 
 
-def _jacobian_many(states: np.ndarray, params: ModelParams) -> np.ndarray:
+def _jacobian_many(states: np.ndarray, params: ModelParams | _ParamRows) -> np.ndarray:
     """Analytic Jacobian of the Bloch flow for a stack of states, (n, 3, 3)."""
     x, y, z = states[..., 0], states[..., 1], states[..., 2]
     v, g, p, gam = params.V, params.g, params.p, params.Gamma
@@ -282,8 +310,34 @@ def analytic_p0(params: ModelParams) -> list[tuple[np.ndarray, str]]:
     return out
 
 
+def _classify(states: np.ndarray, rows: _ParamRows, residuals) -> list[FixedPoint]:
+    """Linear stability of a stack of roots, each row under its own parameters.
+
+    Rows do not depend on each other.  A stacked ``eigvals`` returns
+    complex values for every row once any row's spectrum is complex, so
+    each row's eigenvalues are cast back to real where its own spectrum
+    is real, as a call on that row alone returns them.
+    """
+    eigs = np.linalg.eigvals(_jacobian_many(states, rows))
+    eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, -eigs.real), axis=-1), axis=-1)
+    points = []
+    for state, row, max_re, residual in zip(states, eigs, eigs.real.max(axis=-1), residuals):
+        stable = bool(max_re < -STABILITY_TOL)
+        points.append(FixedPoint(
+            state=state.copy(),
+            eigenvalues=row.copy() if row.imag.any() else row.real.copy(),
+            stable=stable,
+            marginal=(not stable) and bool(max_re <= STABILITY_TOL),
+            residual=float(residual),
+        ))
+    return points
+
+
 def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> FixedPoint:
     """Linear stability of a fixed point via the Jacobian spectrum.
+
+    This is the classification of :func:`find_fixed_points_many` on a
+    stack of one root.
 
     Raises
     ------
@@ -296,19 +350,7 @@ def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> Fi
         raise NotAFixedPointError(
             f"residual {residual:.3e} exceeds root tolerance {root_tol:.1e}"
         )
-    eigs = np.linalg.eigvals(jacobian(state, params))
-    order = np.lexsort((eigs.imag, -eigs.real))
-    eigs = eigs[order]
-    max_re = float(eigs.real.max())
-    stable = max_re < -STABILITY_TOL
-    marginal = (not stable) and (max_re <= STABILITY_TOL)
-    return FixedPoint(
-        state=state.copy(),
-        eigenvalues=eigs,
-        stable=stable,
-        marginal=marginal,
-        residual=residual,
-    )
+    return _classify(state[None, :], _ParamRows.of([params]), [residual])[0]
 
 
 def _p1_candidates(params: ModelParams) -> list[np.ndarray]:
@@ -330,7 +372,70 @@ def _p1_candidates(params: ModelParams) -> list[np.ndarray]:
     return out
 
 
-def _eliminated_candidates(params: ModelParams) -> np.ndarray:
+def _series(*coeffs) -> np.ndarray:
+    """Polynomials stacked by row from their coefficients, lowest degree first.
+
+    Each coefficient is a scalar or an array with one entry per row.
+    """
+    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+
+
+def _polymul(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Row-wise products of stacked polynomials, lowest degree first.
+
+    Each coefficient of a product accumulates its terms in the order of
+    the coefficients of ``c``, as ``numpy.polynomial`` does.
+    """
+    out = np.zeros((c.shape[0], c.shape[1] + d.shape[1] - 1))
+    for i in range(c.shape[1]):
+        out[:, i:i + d.shape[1]] += c[:, i, None] * d
+    return out
+
+
+def _z_polynomials(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, d, poly) of :func:`_eliminated_candidates`, one row per cell.
+
+    All three are stacked polynomials in Z, lowest degree first: the
+    entries c(Z) and d(Z) of A(Z), of degree 1, and the eliminated
+    polynomial, padded to degree 6.  Its leading coefficients can vanish
+    exactly at special parameter values, so a row's degree can be lower.
+    """
+    v, g, p = rows.V, rows.g, rows.p
+    a = rows.Gamma / 8.0
+    c = _series(-(1.0 - p) * g, -p * v / 2.0)
+    d = _series((1.0 - p) * g, (2.0 * p - 1.0) * v / 2.0)
+    det = _series(0.0, 0.0, a * a) - _polymul(c, d)
+    nx = _polymul(c, _series(0.0, -p * g))
+    ny = _series(0.0, 0.0, a * p * g)
+    # Python's float power: (p g)**2 rounds differently from pg * pg about
+    # once in a thousand, and this is the value the tables were built on
+    pg_squared = np.array([pg ** 2 for pg in (p * g).tolist()])
+    poly = (_polymul(_series(0.0, 0.0, a * pg_squared), det)
+            + _polymul(((1.0 - p) * v / 2.0)[:, None] * nx, ny))
+    poly = np.pad(poly, ((0, 0), (0, 2))) - _polymul(
+        a[:, None] * np.array([1.0, 0.0, -1.0]), _polymul(det, det))
+    return c, d, poly
+
+
+def _polyroots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of stacked polynomials of one degree, each row sorted.
+
+    ``coeffs`` is (k, n + 1), lowest degree first, with nonzero leading
+    coefficients.  The roots are the eigenvalues of the companion
+    matrices, as in ``numpy.polynomial.polynomial.polyroots``.
+    """
+    k, n = coeffs.shape[0], coeffs.shape[1] - 1
+    if n < 1:
+        return np.empty((k, 0))
+    if n == 1:
+        return -coeffs[:, :1] / coeffs[:, 1:]
+    companion = np.zeros((k, n, n))
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+    return np.sort(np.linalg.eigvals(companion), axis=-1)
+
+
+def _eliminated_candidates(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
     """Roots for 0 < p < 1 and g != 0 from the eliminated Z polynomial.
 
     At fixed Z, dX/dt = dY/dt = 0 is linear in (X, Y):
@@ -351,35 +456,40 @@ def _eliminated_candidates(params: ModelParams) -> np.ndarray:
     along v1 is u1.b / s1, and the component along v2 follows from
     X^2 + Y^2 = 1 - Z^2 up to its sign.  Both signs are returned;
     polishing and the residual test keep the right one.
+
+    ``rows`` holds the cells; the polynomials of all of them are built
+    at once and their roots found in one companion stack per degree.
+    Returns the candidates (m, 3) and the row of each (m,): the roots
+    with the + sign, then with the - sign, each cell's in ascending Z
+    order.
     """
-    v, g, p, gam = params.V, params.g, params.p, params.Gamma
-    a = gam / 8.0
-    # coefficient arrays, lowest degree first
-    c = np.array([-(1.0 - p) * g, -p * v / 2.0])
-    d = np.array([(1.0 - p) * g, (2.0 * p - 1.0) * v / 2.0])
-    det = P.polysub([0.0, 0.0, a * a], P.polymul(c, d))
-    nx = P.polymul(c, [0.0, -p * g])
-    ny = np.array([0.0, 0.0, a * p * g])
-    poly = P.polyadd(
-        P.polymul([0.0, 0.0, a * (p * g) ** 2], det),
-        P.polymul(((1.0 - p) * v / 2.0) * nx, ny),
-    )
-    poly = P.polysub(poly, P.polymul(a * np.array([1.0, 0.0, -1.0]), P.polymul(det, det)))
-    roots = P.polyroots(poly)
-    real = (np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0 + _REAL_ROOT_TOL)
-    z = roots.real[real]
+    c, d, poly = _z_polynomials(rows)
+    nonzero = poly != 0.0
+    # exact trailing zeros drop, as numpy.polynomial trims them
+    size = np.where(nonzero.any(axis=1), poly.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    cells, zs = [], []
+    for n in np.unique(size):
+        group = np.flatnonzero(size == n)
+        roots = _polyroots(poly[group, :n])
+        real = (np.abs(roots.imag) <= _REAL_ROOT_TOL) & (np.abs(roots.real) <= 1.0 + _REAL_ROOT_TOL)
+        cells.append(np.repeat(group, real.sum(axis=1)))
+        zs.append(roots.real[real])
+    cell, z = np.concatenate(cells), np.concatenate(zs)
+    a, pg = rows.Gamma[cell] / 8.0, rows.p[cell] * rows.g[cell]
     mats = np.empty((z.size, 2, 2))
     mats[:, 0, 0] = mats[:, 1, 1] = a * z
-    mats[:, 0, 1] = P.polyval(z, c)
-    mats[:, 1, 0] = P.polyval(z, d)
+    # Horner's rule as numpy.polynomial.polynomial.polyval applies it
+    mats[:, 0, 1] = c[cell, 0] + (c[cell, 1] + z * 0) * z
+    mats[:, 1, 0] = d[cell, 0] + (d[cell, 1] + z * 0) * z
     u, s, vt = np.linalg.svd(mats)
-    along_v1 = u[:, 1, 0] * (p * g) * z / s[:, 0]
+    along_v1 = u[:, 1, 0] * pg * z / s[:, 0]
     along_v2 = np.sqrt(np.maximum(1.0 - z * z - along_v1**2, 0.0))
     xy = along_v1[:, None] * vt[:, 0, :]
-    return np.concatenate([
+    states = np.concatenate([
         np.column_stack([xy + sign * along_v2[:, None] * vt[:, 1, :], z])
         for sign in (1.0, -1.0)
     ])
+    return states, np.concatenate([cell, cell])
 
 
 def _undriven_candidates(params: ModelParams) -> list[np.ndarray]:
@@ -404,37 +514,96 @@ def _undriven_candidates(params: ModelParams) -> list[np.ndarray]:
     return out
 
 
-def _candidates(params: ModelParams) -> np.ndarray:
-    """Approximate fixed points on the sphere, shape (n, 3), possibly repeated."""
-    if params.p == 0.0:
-        cands = [s for s, _label in analytic_p0(params)]
-    elif params.p == 1.0:
-        cands = _p1_candidates(params)
-    elif params.g == 0.0:
-        cands = _undriven_candidates(params)
-    else:
-        return _eliminated_candidates(params)
-    return np.array(cands, dtype=float).reshape(-1, 3)
+def _candidates(params_seq: list[ModelParams], rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate fixed points on the sphere of every cell, possibly repeated.
+
+    Returns the candidates (m, 3) and the cell of each (m,), grouped by
+    cell in cell order.  The closed forms serve p = 0, p = 1 and g = 0;
+    the other cells share one :func:`_eliminated_candidates` pass.
+    """
+    cells, parts, generic = [np.empty(0, dtype=int)], [np.empty((0, 3))], []
+    for k, params in enumerate(params_seq):
+        if params.p == 0.0:
+            cands = [s for s, _label in analytic_p0(params)]
+        elif params.p == 1.0:
+            cands = _p1_candidates(params)
+        elif params.g == 0.0:
+            cands = _undriven_candidates(params)
+        else:
+            generic.append(k)
+            continue
+        cells.append(np.full(len(cands), k))
+        parts.append(np.array(cands, dtype=float).reshape(-1, 3))
+    if generic:
+        generic = np.array(generic)
+        states, cell = _eliminated_candidates(rows.take(generic))
+        cells.append(generic[cell])
+        parts.append(states)
+    cell = np.concatenate(cells)
+    order = np.argsort(cell, kind="stable")
+    return np.concatenate(parts)[order], cell[order]
 
 
-def _polish(states: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _polish(states: np.ndarray, rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the 3-vector system; the best iterate of each row.
 
+    Row i is polished under the parameters of row i of ``rows``.
     Returns the polished states and their max-abs residuals.  The
     pseudo-inverse tolerates the singular Jacobians of marginal roots.
     """
     current = states
-    f = _rhs_many(current, params)
+    f = _rhs_many(current, rows)
     best, best_res = states.copy(), np.abs(f).max(axis=1)
     for _ in range(_POLISH_STEPS):
-        pinv = np.linalg.pinv(_jacobian_many(current, params), rcond=1e-10)
+        pinv = np.linalg.pinv(_jacobian_many(current, rows), rcond=1e-10)
         current = current - np.einsum("nij,nj->ni", pinv, f)
-        f = _rhs_many(current, params)
+        f = _rhs_many(current, rows)
         res = np.abs(f).max(axis=1)
         better = res < best_res
         best[better] = current[better]
         best_res[better] = res[better]
     return best, best_res
+
+
+def find_fixed_points_many(params_seq) -> list[list[FixedPoint]]:
+    """:func:`find_fixed_points` of every ``ModelParams`` in ``params_seq``, in one stacked pass.
+
+    The candidates of all cells are built together (the Z polynomials of
+    all generic cells at once, their roots in one companion stack per
+    degree), then polished, deduplicated per cell and classified as
+    stacks with per-row parameters.  Rows do not depend on each other:
+    no operation reduces across them, so each cell's list is what a
+    pass over that cell alone returns, bit for bit.  An exception in
+    any cell raises from the whole pass.
+    """
+    params_seq = list(params_seq)
+    rows = _ParamRows.of(params_seq)
+    cands, cell = _candidates(params_seq, rows)
+    finite = np.isfinite(cands).all(axis=1)
+    cands, cell = cands[finite], cell[finite]
+    states, res = _polish(cands, rows.take(cell))
+    on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
+    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in params_seq]
+    for i in np.flatnonzero(on_sphere & (res <= ROOT_TOL)):
+        unique, st, r = found[cell[i]], states[i], res[i]
+        for k, (u_state, u_res) in enumerate(unique):
+            if np.linalg.norm(st - u_state) < DEDUP_TOL:
+                if r < u_res:
+                    unique[k] = (st, r)
+                break
+        else:
+            unique.append((st, r))
+
+    owner = [k for k, unique in enumerate(found) for _ in unique]
+    roots = [root for unique in found for root in unique]
+    points = _classify(np.array([st for st, _ in roots]).reshape(-1, 3), rows.take(owner),
+                       [r for _, r in roots])
+    out: list[list[FixedPoint]] = [[] for _ in params_seq]
+    for k, fp in zip(owner, points):
+        out[k].append(fp)
+    for fps in out:
+        fps.sort(key=lambda fp: (not fp.stable, fp.state[2], fp.state[0], fp.state[1]))
+    return out
 
 
 def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoint]:
@@ -454,6 +623,7 @@ def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoin
     off the sphere (possible only at Z = 0, since d(r^2)/dt =
     (Gamma/4) Z (r^2 - 1)) and continua of roots are not listed.
 
+    This is :func:`find_fixed_points_many` on a batch of one cell.
     ``n_seeds`` is unused but still checked to be >= 1; it goes once
     the benchmark's tracing no longer reads it.
 
@@ -462,23 +632,7 @@ def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoin
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    cands = _candidates(params)
-    states, res = _polish(cands[np.isfinite(cands).all(axis=1)], params)
-    on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
-    unique: list[tuple[np.ndarray, float]] = []
-    for i in np.flatnonzero(on_sphere & (res <= ROOT_TOL)):
-        st, r = states[i], res[i]
-        for k, (u_state, u_res) in enumerate(unique):
-            if np.linalg.norm(st - u_state) < DEDUP_TOL:
-                if r < u_res:
-                    unique[k] = (st, r)
-                break
-        else:
-            unique.append((st, r))
-
-    points = [classify_stability(st, params, root_tol=10 * ROOT_TOL) for st, _ in unique]
-    points.sort(key=lambda fp: (not fp.stable, fp.state[2], fp.state[0], fp.state[1]))
-    return points
+    return find_fixed_points_many([params])[0]
 
 
 @dataclass(frozen=True)

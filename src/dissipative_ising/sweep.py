@@ -1,8 +1,9 @@
 """Parameter-grid scans and hysteresis experiments.
 
-Grid points are independent tasks: failures are recorded per row and
-never abort a sweep, output order is row-major over the grid no matter
-how many workers run, and every point is computed deterministically, so
+Grid points are independent tasks, run in blocks of contiguous points:
+failures are recorded per row and never abort a sweep, output order is
+row-major over the grid no matter how many workers run, and every point
+is computed deterministically and apart from the rest of its block, so
 results are reproducible bit for bit at any worker count.
 """
 
@@ -33,6 +34,7 @@ from .meanfield import (
     continuation_sweep,
     detect_limit_cycle,
     find_fixed_points,
+    find_fixed_points_many,
     integrate_trajectory,
     seed_orbit,
     settle,
@@ -217,10 +219,13 @@ def _failed_row(index, params: ModelParams, exc: Exception) -> PhasePoint:
                       limit_cycle=False, error=reason(exc))
 
 
-def _mf_point(task) -> PhasePoint:
+def _mf_point(task, fixed_points: list[FixedPoint] | None = None) -> PhasePoint:
+    """The row of one grid point, from its fixed points if given, else searching them here."""
     (index, params, select_branch, detect_cycles, settle_time) = task
     try:
-        stable = [fp for fp in find_fixed_points(params) if fp.stable]
+        if fixed_points is None:
+            fixed_points = find_fixed_points(params)
+        stable = [fp for fp in fixed_points if fp.stable]
         selected_z, limit_cycle, error = math.nan, False, None
         if select_branch or (detect_cycles and not stable):
             selected_z, limit_cycle, error = _select_branch(
@@ -230,6 +235,15 @@ def _mf_point(task) -> PhasePoint:
                           selected_Z=selected_z, limit_cycle=limit_cycle, error=error)
     except Exception as exc:  # failures isolate to this row
         return _failed_row(index, params, exc)
+
+
+def _mf_block(tasks) -> list[PhasePoint]:
+    """Rows of a block of grid points: one stacked fixed-point search, then each point."""
+    try:
+        found = find_fixed_points_many([task[1] for task in tasks])
+    except Exception:  # rows are independent: each searches alone, and a failure stays in its row
+        found = [None] * len(tasks)
+    return [_mf_point(task, fps) for task, fps in zip(tasks, found)]
 
 
 def quantum_point(index, params: ModelParams, compute_gap: bool) -> PhasePoint:
@@ -266,14 +280,26 @@ def _quantum_point(task) -> PhasePoint:
         return _failed_row(*task[:2], exc)
 
 
+def _quantum_block(tasks) -> list[PhasePoint]:
+    return [_quantum_point(task) for task in tasks]
+
+
 def _run_tasks(fn, tasks, workers: int):
+    """The rows of ``tasks`` in order; ``fn`` maps a block of contiguous tasks to its rows.
+
+    One worker runs all tasks as one block.  With more, the blocks hold
+    ``len(tasks) // (4 * workers)`` tasks (at least one) and go to a
+    pool of spawned processes.  A row must not depend on its block, so
+    that the output is the same at any worker count.
+    """
     # more processes than cores or tasks only adds start-up and contention
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return fn(tasks)
     chunk = max(1, len(tasks) // (4 * workers))
+    blocks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return [row for rows in pool.map(fn, blocks) for row in rows]
 
 
 def phase_diagram(
@@ -288,13 +314,17 @@ def phase_diagram(
     """Scan a parameter grid with the mean-field or quantum solver.
 
     The mean-field solver records the stable fixed points at every
-    point (enumerated exactly, see ``find_fixed_points``).  With
+    point, enumerated exactly (see ``find_fixed_points``) for a whole
+    block of points in one stacked pass (``find_fixed_points_many``);
+    where that pass raises, each point of the block is searched alone,
+    so a failure stays in its row.  With
     ``select_branch``, or with ``detect_cycles`` where nothing is
     stable, it then runs the pole-selection schedule of
     ``_select_branch``, which gives the row's ``selected_Z``,
     limit-cycle flag and ``error``.  ``workers`` is capped at the
-    number of CPUs and of grid points.  The quantum solver checks every
-    N against ``liouville.N_LIMIT`` before any solve, then runs
+    number of CPUs and of grid points, and sets the blocks (see
+    ``_run_tasks``); no row depends on its block.  The quantum solver
+    checks every N against ``liouville.N_LIMIT`` before any solve, then runs
     :func:`quantum_point` at each point: the steady-state magnetization
     and, with ``compute_gap``, the Liouvillian gap, whose eigensolver
     settings ``liouvillian_gap`` picks from N.  Rows come back in the
@@ -305,7 +335,7 @@ def phase_diagram(
     points = list(grid.points())
     if solver == "mf":
         tasks = [(idx, prm, select_branch, detect_cycles, settle_time) for idx, prm in points]
-        return _run_tasks(_mf_point, tasks, workers)
+        return _run_tasks(_mf_block, tasks, workers)
     if solver == "quantum":
         for _idx, prm in points:
             if prm.N is None:
@@ -313,7 +343,7 @@ def phase_diagram(
             if prm.N > N_LIMIT:
                 raise ValueError(f"quantum sweeps are capped at N={N_LIMIT}, got N={prm.N}")
         tasks = [(idx, prm, compute_gap) for idx, prm in points]
-        return _run_tasks(_quantum_point, tasks, workers)
+        return _run_tasks(_quantum_block, tasks, workers)
     raise ValueError(f"solver must be 'mf' or 'quantum', got {solver!r}")
 
 

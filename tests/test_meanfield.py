@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from dissipative_ising import (
@@ -28,7 +29,11 @@ from dissipative_ising.meanfield import (
     _capture_region,
     _jacobian_many,
     _ode_rhs,
+    _ParamRows,
+    _polyroots,
     _rhs_many,
+    _z_polynomials,
+    find_fixed_points_many,
 )
 from newton_oracle import newton_fixed_points
 
@@ -319,6 +324,87 @@ class TestFindFixedPoints:
             z_plus = sorted(abs(f.state[2]) for f in plus)
             z_minus = sorted(abs(f.state[2]) for f in minus)
             assert np.allclose(z_plus, z_minus, atol=1e-9)
+
+
+def same_fixed_points(a, b) -> bool:
+    """Whether two fixed-point lists agree bit for bit in every field."""
+    return len(a) == len(b) and all(
+        x.state.tobytes() == y.state.tobytes()
+        and x.eigenvalues.dtype == y.eigenvalues.dtype
+        and x.eigenvalues.tobytes() == y.eigenvalues.tobytes()
+        and x.residual == y.residual
+        and (x.stable, x.marginal) == (y.stable, y.marginal)
+        for x, y in zip(a, b)
+    )
+
+
+class TestStackedSearch:
+    """find_fixed_points_many against one-cell passes and numpy.polynomial."""
+
+    # where a^2 = c1 d1 rounds to exactly zero the Z polynomial has degree 4
+    DEGREE_FOUR = [ModelParams(V=v, g=g, p=0.45, Gamma=1.0)
+                   for v in (1.1785113019775793, -1.1785113019775793) for g in (-0.3, 0.7)]
+    # p = 0, p = 1 (its marginal line where |g| >= Gamma/8), g = 0, V = 0,
+    # the Jordan cell g = 0, p = 1/2 and the degenerate equator centre
+    # (0, 1, 1, Gamma = 8)
+    GRID = [ModelParams(V=v, g=g, p=p, Gamma=gam) for v, g, p, gam in itertools.product(
+        (-5.0, -1.0, 0.0, 0.7),
+        (-3.0, -1.0, -0.3, 0.0, 0.1, 0.5, 1.0, 3.0),
+        (0.0, 0.1, 0.25, 0.5, 0.77, 0.9, 1.0),
+        (1.0, 8.0),
+    )] + DEGREE_FOUR
+
+    @staticmethod
+    def numpy_polynomial(prm):
+        """The eliminated Z polynomial built with numpy.polynomial, trimmed."""
+        v, g, p, a = prm.V, prm.g, prm.p, prm.Gamma / 8.0
+        c = np.array([-(1.0 - p) * g, -p * v / 2.0])
+        d = np.array([(1.0 - p) * g, (2.0 * p - 1.0) * v / 2.0])
+        det = P.polysub([0.0, 0.0, a * a], P.polymul(c, d))
+        nx = P.polymul(c, [0.0, -p * g])
+        ny = np.array([0.0, 0.0, a * p * g])
+        poly = P.polyadd(P.polymul([0.0, 0.0, a * (p * g) ** 2], det),
+                         P.polymul(((1.0 - p) * v / 2.0) * nx, ny))
+        return P.polysub(poly, P.polymul(a * np.array([1.0, 0.0, -1.0]), P.polymul(det, det)))
+
+    def test_z_polynomials_match_numpy_polynomial(self):
+        rng = np.random.default_rng(12)
+        cells = [prm for prm in self.GRID if 0.0 < prm.p < 1.0 and prm.g != 0.0]
+        cells += [random_params(rng) for _ in range(2000)]
+        cells += [ModelParams(V=float(rng.choice([0.0, -5.0])), g=float(g), p=float(p))
+                  for g, p in zip(rng.uniform(-3, 3, 500), rng.choice([0.5, 0.25, 0.9], 500))]
+        _c, _d, polys = _z_polynomials(_ParamRows.of(cells))
+        degrees = set()
+        for prm, row in zip(cells, polys):
+            ref = self.numpy_polynomial(prm)
+            n = len(ref)
+            assert np.array_equal(row[:n], ref) and not row[n:].any()
+            degrees.add(n - 1)
+            # the same roots, bit for bit, from a stack of one
+            assert np.array_equal(_polyroots(ref[None, :])[0], P.polyroots(ref))
+        assert degrees == {4, 6}
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    def test_blocks_equal_single_cells(self, block):
+        grid = self.GRID
+        singles = [find_fixed_points(prm) for prm in grid]
+        size = block or len(grid)
+        batched = [fps for i in range(0, len(grid), size)
+                   for fps in find_fixed_points_many(grid[i:i + size])]
+        assert len(batched) == len(grid)
+        for prm, a, b in zip(grid, singles, batched):
+            assert same_fixed_points(a, b), prm
+        # the grid mixes real and complex spectra, stable, unstable and marginal roots
+        fps = [fp for cell in singles for fp in cell]
+        assert {fp.eigenvalues.dtype.kind for fp in fps} == {"f", "c"}
+        assert any(fp.stable for fp in fps) and any(fp.marginal for fp in fps)
+        assert any(not fp.stable and not fp.marginal for fp in fps)
+
+    def test_classify_stability_is_the_stacked_classification(self):
+        for prm, cell in zip(self.GRID, find_fixed_points_many(self.GRID)):
+            for fp in cell:
+                alone = classify_stability(fp.state, prm, root_tol=10 * ROOT_TOL)
+                assert same_fixed_points([alone], [fp]), prm
 
 
 class TestTrajectory:

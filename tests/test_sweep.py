@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dissipative_ising.meanfield as meanfield_module
 import dissipative_ising.sweep as sweep_module
 from dissipative_ising import (
     ModelParams,
@@ -17,6 +18,7 @@ from dissipative_ising.liouville import N_LIMIT
 from dissipative_ising.meanfield import SeedOrbit, find_fixed_points, integrate_trajectory, settle
 from dissipative_ising.sweep import SOUTH_POLE_SEED, Axis, GridSpec
 from settle_oracle import oracle_row
+from test_meanfield import same_fixed_points
 
 
 FIXED = ModelParams(V=-5, g=0, p=0)
@@ -134,22 +136,45 @@ class TestPhaseDiagram:
                 assert np.array_equal(fa.state, fb.state)
 
     def test_per_point_failures_isolate(self, monkeypatch):
-        calls = {"n": 0}
-        real = sweep_module.find_fixed_points
+        real = meanfield_module._p1_candidates
 
-        def flaky(params, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky(params):
+            if params.g == 1.0:
                 raise RuntimeError("synthetic failure")
-            return real(params, **kwargs)
+            return real(params)
 
-        monkeypatch.setattr(sweep_module, "find_fixed_points", flaky)
+        monkeypatch.setattr(meanfield_module, "_p1_candidates", flaky)
         grid = GridSpec(Axis("g", 0.5, 1.5, 3), None, ModelParams(V=-5, g=0, p=1))
         points = phase_diagram(grid, select_branch=False,
                                detect_cycles=False)
         assert [pt.error is not None for pt in points] == [False, True, False]
+        assert points[1].error == "RuntimeError: synthetic failure"
         assert points[1].stable_count == 0
         assert points[0].stable_count == 1 and points[2].stable_count == 1
+
+    def test_block_failure_stays_in_its_row(self, monkeypatch):
+        # a non-finite Z polynomial in one generic cell makes the stacked
+        # eigensolve of the whole block raise; the block's rows are then
+        # searched one by one, and only that row records the failure
+        grid = GridSpec(Axis("g", -0.55, -0.05, 3), Axis("p", 0.0, 1.0, 9), FIXED)
+        clean = multistability_map(grid)
+        assert all(pt.error is None for pt in clean)
+        (target_index, target), real = list(grid.points())[13], meanfield_module._z_polynomials
+
+        def poisoned(rows):
+            c, d, poly = real(rows)
+            poly[(rows.g == target.g) & (rows.p == target.p)] = math.nan
+            return c, d, poly
+
+        monkeypatch.setattr(meanfield_module, "_z_polynomials", poisoned)
+        points = multistability_map(grid)
+        assert [pt.index for pt in points if pt.error is not None] == [target_index]
+        assert points[13].error.startswith("LinAlgError") and points[13].stable_count == 0
+        for a, b in zip(clean, points):
+            if b.index != target_index:
+                assert (a.index, a.params, a.limit_cycle) == (b.index, b.params, b.limit_cycle)
+                assert same_fixed_points(a.stable_points, b.stable_points)
+                assert np.array_equal(a.selected_Z, b.selected_Z, equal_nan=True)
 
     def test_undecided_cycle_check_records_reason(self):
         # at V=0, g=1, p=1, Gamma=8 the planar centre lies on the equator, where
@@ -239,7 +264,8 @@ class TestPhaseDiagram:
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 1)
-        assert sweep_module._run_tasks(abs, [-3, 4, -5], workers=8) == [3, 4, 5]
+        negate = lambda block: [-t for t in block]  # noqa: E731
+        assert sweep_module._run_tasks(negate, [-3, 4, -5], workers=8) == [3, -4, 5]
 
     def test_invalid_solver_and_workers(self):
         grid = GridSpec(Axis("g", 0.5, 1.5, 2), None, FIXED)
