@@ -37,6 +37,12 @@ capture region of a stable point is entered, limit-cycle detection,
 and continuation sweeps along a parameter path.  The enumeration uses
 no random numbers.
 
+Every integration is DOP853.  ``settle`` and so ``continuation_sweep``
+need only endpoints and run scipy's compiled DOP853 through
+``_dop853``, which ``liouville.propagate`` shares;
+``integrate_trajectory`` keeps ``solve_ivp`` for its dense output,
+which the compiled code does not expose.
+
 Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 """
 
@@ -44,10 +50,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import InsufficientDataError, IntegrationError, NotAFixedPointError
@@ -90,6 +97,17 @@ _REAL_ROOT_TOL = 1e-6
 _POLISH_STEPS = 3
 # Integrator tolerances of settle and continuation_sweep.
 _SETTLE_RTOL, _SETTLE_ATOL = 1e-12, 1e-14
+# dop853's step budget; like solve_ivp, _dop853 runs with none, so it is
+# the largest the compiled code accepts.
+_NO_STEP_CAP = 2**31 - 1
+# Weight of the previous error in dop853's step-size control, the
+# stabilized (PI) control of Hairer & Wanner, Solving ODEs II, sec. IV.2.
+# DOP853 defaults to 0 (DOPRI5 to 0.04).  Where the step is held at the
+# stability boundary, as in density-matrix propagation, 0.04 cuts the
+# rejected steps from about a quarter to a few per cent and the
+# right-hand sides of a ramp by a third; settling is accuracy-bound
+# and costs the same.
+_STEP_CONTROL_BETA = 0.04
 # An end of an orbit's arc in the unit disk is an equator root when the
 # orbit's first integral there is within this relative distance of its own.
 _SEPARATRIX_TOL = 1e-9
@@ -862,6 +880,94 @@ def seed_orbit(state, params: ModelParams) -> SeedOrbit | None:
     return SeedOrbit("closed", np.array([math.cos(backward[1]), math.sin(backward[1]), 0.0]))
 
 
+class _Dop853:
+    """scipy's compiled DOP853 for one state size and tolerance pair.
+
+    The compiled code behind ``scipy.integrate.ode`` (scipy 1.17) keeps
+    a reference to the right-hand side and to the step callback of every
+    call and never drops it.  A solver built per run would so keep each
+    run's right-hand side, with all it refers to (a whole Liouvillian in
+    ``liouville.propagate``), and its own work arrays alive for the life
+    of the process.  This solver is built once per shape and called
+    through two fixed methods that read the run's ``fun`` and ``stop``
+    from attributes cleared after the run; what stays behind is one
+    bound method, about 60 bytes, per run.
+    """
+
+    def __init__(self, size: int, rtol: float, atol: float):
+        self.fun = self.stop = self.failure = None
+        self.nan = np.full(size, np.nan)
+        self.solver = ode(self._rhs).set_integrator(
+            "dop853", rtol=rtol, atol=atol, nsteps=_NO_STEP_CAP, beta=_STEP_CONTROL_BETA
+        )
+        self.solver.set_solout(self._step)
+
+    def _rhs(self, t, y):
+        # the compiled loop cannot see a Python exception and would keep
+        # calling; NaN makes it give up at once with a step-size failure
+        try:
+            return self.fun(t, y)
+        except BaseException as exc:
+            self.failure = exc
+            return self.nan
+
+    def _step(self, _t, y):
+        return -1 if self.stop is not None and self.stop(y) else 0
+
+
+# one solver per (size, rtol, atol) in this process; see _Dop853
+_SOLVERS: dict[tuple[int, float, float], _Dop853] = {}
+
+
+def _dop853(fun, y0, t0: float, t_end: float, rtol: float, atol: float, stop=None):
+    """State at the end of a DOP853 integration of ``fun`` from (t0, y0) to t_end.
+
+    The endpoint integrator of ``settle`` and ``liouville.propagate``:
+    Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec.
+    II.10) as compiled in scipy, behind ``scipy.integrate.ode``, with no
+    cap on the step count and stabilized step-size control.  Its
+    Python-side cost per right-hand side is the callback alone, a
+    fraction of ``solve_ivp``'s stepping.  ``stop(y)`` is tested at the
+    end of each accepted step, and the integration ends at the first
+    step where it is true, with the state there.  Return code -4 is the
+    code's advisory stiffness test, not a failure, and the run resumes
+    from where it was interrupted.  Any other failure raises
+    ``IntegrationError`` with dop853's message in place of its warning;
+    an exception in ``fun`` is re-raised.  Not re-entrant: ``fun`` and
+    ``stop`` must not call it.
+    """
+    key = (len(y0), rtol, atol)
+    run = _SOLVERS.get(key)
+    if run is None:
+        run = _SOLVERS[key] = _Dop853(*key)
+    run.fun, run.stop = fun, stop
+    solver = run.solver
+    try:
+        solver.set_initial_value(y0, t0)
+        while True:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                y = solver.integrate(t_end)
+            ours = []
+            for w in caught:  # dop853's own become the error; others pass on
+                if str(w.message).startswith("dop853"):
+                    ours.append(str(w.message))
+                else:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            if run.failure is not None:
+                raise run.failure
+            code = solver.get_return_code()
+            if code == -4:
+                solver.set_initial_value(y, solver.t)
+            elif code < 0:
+                message = "; ".join(ours) or f"dop853: return code {code}"
+                raise IntegrationError(f"{message} at t = {solver.t:.6g}")
+            else:
+                return y
+    finally:
+        run.fun = run.stop = run.failure = None
+
+
 def integrate_trajectory(
     initial,
     params: ModelParams,
@@ -871,11 +977,13 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Adaptive integration of the Bloch equations from ``initial``.
 
-    Uses an 8th-order explicit Runge-Kutta scheme; with the default
-    tolerances the unit-sphere norm drifts by less than 1e-8 over
-    t <= 100/Gamma for on-sphere initial data.  Output is sampled on a
-    uniform grid, 100 points per time unit clipped to [2000, 50000], so
-    downstream peak detection sees a regular sampling.
+    Uses ``solve_ivp``'s DOP853, an 8th-order explicit Runge-Kutta
+    scheme, for its dense output, which the compiled code behind
+    :func:`_dop853` does not expose.  With the default tolerances the
+    unit-sphere norm drifts by less than 1e-8 over t <= 100/Gamma for
+    on-sphere initial data.  Output is sampled on a uniform grid, 100
+    points per time unit clipped to [2000, 50000], so downstream peak
+    detection sees a regular sampling.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -931,23 +1039,6 @@ def _capture_region(fp: FixedPoint, params: ModelParams) -> tuple[np.ndarray, fl
     return lyap, 0.5 * eigs[0] * rho * rho
 
 
-def _capture_event(fp: FixedPoint, params: ModelParams):
-    """Terminal solve_ivp event on entering ``fp``'s capture region, or None."""
-    region = _capture_region(fp, params)
-    if region is None:
-        return None
-    lyap, level = region
-    centre = fp.state
-
-    def event(_t, state):
-        e = state - centre
-        return float(e @ lyap @ e) - level
-
-    event.terminal = True
-    event.direction = -1.0
-    return event
-
-
 def settle(
     initial,
     params: ModelParams,
@@ -956,43 +1047,38 @@ def settle(
 ) -> np.ndarray:
     """Endpoint of an integration over ``settle_time`` (no trajectory kept).
 
-    The integration runs at rtol 1e-12 and atol 1e-14.
+    One run of :func:`_dop853` at rtol 1e-12 and atol 1e-14.
 
     ``capture`` lists stable fixed points of ``params``.  If the
     trajectory starts in or enters the certified capture region of one
     of them (see :func:`_capture_region`), the integration stops there
     and that point's ``state`` is returned as the endpoint: the flow
-    provably ends at it.  Trajectories that enter no region give the
-    same endpoint as without ``capture``.
+    provably ends at it.  The region is invariant, so the test at the
+    end of each accepted step finds the entry.  Trajectories that enter
+    no region give the same endpoint as without ``capture``.
     """
     if settle_time <= 0.0:
         raise ValueError(f"settle_time must be positive, got {settle_time}")
     initial = np.asarray(initial, dtype=float)
-    targets, events = [], []
-    for fp in capture:
-        event = _capture_event(fp, params)
-        if event is None:
-            continue
-        if event(0.0, initial) < 0.0:
-            return fp.state.copy()
-        targets.append(fp)
-        events.append(event)
-    sol = solve_ivp(
-        _ode_rhs(params),
-        (0.0, float(settle_time)),
-        initial,
-        method="DOP853",
-        rtol=_SETTLE_RTOL,
-        atol=_SETTLE_ATOL,
-        t_eval=[float(settle_time)],
-        events=events or None,
+    regions = [(fp, region) for fp in capture
+               if (region := _capture_region(fp, params)) is not None]
+    captured = []
+
+    def entered(state) -> bool:
+        for fp, (lyap, level) in regions:
+            e = state - fp.state
+            if float(e @ lyap @ e) < level:
+                captured.append(fp)
+                return True
+        return False
+
+    if entered(initial):
+        return captured[0].state.copy()
+    end = _dop853(
+        _ode_rhs(params), initial, 0.0, float(settle_time), _SETTLE_RTOL, _SETTLE_ATOL,
+        stop=entered if regions else None,
     )
-    if not sol.success:
-        raise IntegrationError(f"Bloch integration failed: {sol.message}")
-    for fp, hits in zip(targets, sol.t_events or ()):
-        if hits.size:
-            return fp.state.copy()
-    return sol.y[:, -1].copy()
+    return captured[0].state.copy() if captured else end
 
 
 def detect_limit_cycle(

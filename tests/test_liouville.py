@@ -1,4 +1,7 @@
+import gc
 import itertools
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import expm_multiply
 
 from dissipative_ising import (
+    IntegrationError,
     LiouvillianMatrix,
     ModelParams,
     SolverError,
@@ -387,6 +392,64 @@ class TestEvolveRho:
             evolve_rho(rho, prm, -1.0)
         with pytest.raises(ValueError):
             evolve_rho(np.eye(4) / 4, prm, 1.0)  # N mismatch
+
+
+class TestPropagate:
+    """``propagate`` runs scipy's compiled DOP853 (``meanfield._dop853``)
+    from each output time to the next; ``expm_multiply`` of the real
+    Liouvillian is the oracle.  At rtol 1e-10 and atol 1e-12 the largest
+    coordinate error on this grid is 5.3e-12, and the bound is 1e-10."""
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.6), (-5.0, 1.0, 1.0), (2.0, 0.5, 0.0), (-1.0, -3.0, 0.3)])
+    def test_against_expm_multiply(self, n, v, g, p):
+        basis = build_basis(n)
+        liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), basis)
+        rho0 = dicke_state_rho(basis, -basis.j)
+        got = propagate(liouv, rho0, np.linspace(0.0, 10.0, 6), 1e-10, 1e-12)
+        ref = expm_multiply(liouv.matrix, vec(rho0), start=0.0, stop=10.0, num=6, endpoint=True)
+        assert max(np.abs(vec(a) - b).max() for a, b in zip(got, ref)) < 1e-10
+
+    def test_zero_and_repeated_times(self):
+        basis = build_basis(4)
+        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=0.5, N=4), basis)
+        rho0 = random_density_matrix(np.random.default_rng(3), 5)
+        states = propagate(liouv, rho0, [0.0, 0.0, 0.5, 0.5, 1.0], 1e-10, 1e-12)
+        start = unvec(vec(rho0), 5)
+        assert np.array_equal(states[0], start) and np.array_equal(states[1], start)
+        assert np.array_equal(states[2], states[3])
+        # the repeats change nothing downstream
+        assert np.array_equal(states[4], propagate(liouv, rho0, [0.5, 1.0], 1e-10, 1e-12)[-1])
+
+    def test_times_validation(self):
+        basis = build_basis(2)
+        liouv = build_liouvillian(ModelParams(V=1, g=1, p=0.5, N=2), basis)
+        rho0 = np.eye(3) / 3
+        for times in ([], [-1.0, 1.0], [1.0, 0.5]):
+            with pytest.raises(ValueError):
+                propagate(liouv, rho0, times, 1e-10, 1e-12)
+
+    def test_leaves_no_reference_to_the_liouvillian(self):
+        basis = build_basis(4)
+        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=0.5, N=4), basis)
+        matrix = weakref.ref(liouv.matrix)
+        propagate(liouv, dicke_state_rho(basis, -2.0), [0.5, 1.0], 1e-10, 1e-12)
+        del liouv
+        gc.collect()
+        assert matrix() is None
+
+    def test_non_finite_rhs_raises(self):
+        basis = build_basis(3)
+        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=0.5, N=3), basis)
+        # a growth rate of 1e3 overflows the coordinates near t = 0.7
+        growing = LiouvillianMatrix(
+            matrix=(liouv.matrix + 1e3 * sp.identity(liouv.dim, format="csr")).tocsr(),
+            basis=basis, params=liouv.params,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="dop853: step size becomes too small"):
+                propagate(growing, dicke_state_rho(basis, -1.5), [5.0], 1e-10, 1e-12)
 
 
 class TestMagnetization:
