@@ -41,7 +41,8 @@ from .meanfield import (
 )
 from .operators import spin_coherent_state
 from .sweep import (
-    analytic_boundaries, hysteresis_experiment, multistability_map, phase_diagram, quantum_point,
+    BRANCH_SPLIT_TOL, analytic_boundaries, hysteresis_experiment, multistability_map,
+    phase_diagram, quantum_point,
 )
 from .tables import Table, write_metadata, write_table
 
@@ -77,13 +78,11 @@ def _run_mf_evolve(cfg: RunConfig) -> dict[str, Table]:
     traj_table = Table(columns=["ic", "t", "X", "Y", "Z"])
     cycle_table = Table(columns=["ic", "cycle_detected", "period", "z_amplitude", "error"])
     for i, initial in enumerate(opts.initials):
-        traj = integrate_trajectory(
-            initial, cfg.model, opts.t_end, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol
-        )
+        traj = integrate_trajectory(initial, cfg.model, opts.t_end)
         for t, s in zip(traj.times, traj.states):
             traj_table.append(i, float(t), float(s[0]), float(s[1]), float(s[2]))
         try:
-            cycle, error = detect_limit_cycle(traj, opts.transient_fraction), None
+            cycle, error = detect_limit_cycle(traj), None
         except InsufficientDataError as exc:
             cycle, error = None, reason(exc)
         if cycle is None:
@@ -128,26 +127,14 @@ def _sweep_tables(points, primary_name: str) -> dict[str, Table]:
 
 
 def _run_mf_sweep(cfg: RunConfig) -> dict[str, Table]:
-    opts = cfg.options
     points = phase_diagram(
-        cfg.grid,
-        solver="mf",
-        workers=cfg.workers,
-        select_branch=opts.select_branch,
-        detect_cycles=opts.detect_cycles,
-        settle_time=opts.settle_time,
+        cfg.grid, solver="mf", workers=cfg.workers, select_branch=cfg.options.select_branch
     )
     return _sweep_tables(points, "phase_diagram")
 
 
 def _run_multistability(cfg: RunConfig) -> dict[str, Table]:
-    opts = cfg.options
-    points = multistability_map(
-        cfg.grid,
-        workers=cfg.workers,
-        detect_cycles=opts.detect_cycles,
-        settle_time=opts.settle_time,
-    )
+    points = multistability_map(cfg.grid, workers=cfg.workers)
     return _sweep_tables(points, "multistability")
 
 
@@ -181,7 +168,7 @@ def _run_quantum_evolve(cfg: RunConfig) -> dict[str, Table]:
     liouv = build_liouvillian(cfg.model, basis)
     rho0 = _initial_rho(cfg, basis)
     times = np.linspace(0.0, opts.t_end, opts.n_snapshots)
-    snapshots = propagate(liouv, rho0, times, opts.rel_tol, opts.abs_tol)
+    snapshots = propagate(liouv, rho0, times)
     table = Table(columns=["t", "X", "Y", "Z"])
     for t, rho in zip(times, snapshots):
         mag = magnetization(rho)
@@ -196,9 +183,7 @@ def _run_hysteresis(cfg: RunConfig) -> dict[str, Table]:
         cfg.model,
         direction=opts.direction,
         solver=opts.solver,
-        settle_time=opts.settle_time,
         window=opts.window,
-        threshold=opts.threshold,
     )
     table = Table(columns=["direction", "i", "p", "V", "g", "X", "Y", "Z", "converged"])
     for name, states, conv in (
@@ -216,7 +201,7 @@ def _run_hysteresis(cfg: RunConfig) -> dict[str, Table]:
             )
     interval = Table(columns=["p_lower", "p_upper", "threshold"])
     if result.bistable_interval is not None:
-        interval.append(result.bistable_interval[0], result.bistable_interval[1], opts.threshold)
+        interval.append(*result.bistable_interval, BRANCH_SPLIT_TOL)
     return {"hysteresis": table, "bistable_interval": interval}
 
 

@@ -9,6 +9,9 @@ that reproduces it exactly.  The ``RETIRED_KEYS`` that a task does not
 read are dropped on load with one warning, so that older configs and
 metadata files still load; every other unknown key is rejected, and
 every invariant violation is reported with the offending key path.
+Numerics settings with one value in use are constants of the solvers,
+not keys: settle windows, cycle detection, the bistable split and the
+integrator tolerances.
 """
 
 from __future__ import annotations
@@ -44,24 +47,22 @@ QUANTUM_TASKS = ("quantum-steady", "quantum-gap", "quantum-evolve")
 OUTPUT_DIR_ENV = "DISSIPATIVE_ISING_OUTPUT_DIR"
 
 _GRID = ("axis1", "axis2")
-_HYSTERESIS = ("p_min", "p_max", "count", "direction", "solver", "threshold")
+_HYSTERESIS = ("p_min", "p_max", "count", "direction", "solver")
 
 # The task-specific keys each runner reads, block by block; "config" is
 # the top level, where only the grid tasks, which run a worker pool,
-# read "workers".  Hysteresis depends on its solver: settle_time is read
-# by "mf", window by "quantum".
+# read "workers".  Hysteresis depends on its solver: only "quantum"
+# reads window.
 _POOL = {"config": ("workers",)}
 READS = {
     "mf-fixed-points": {},
-    "mf-evolve": {"evolve": ("initials", "t_end", "rel_tol", "abs_tol", "transient_fraction")},
-    "mf-phase-diagram": {
-        **_POOL, "grid": _GRID, "options": ("select_branch", "detect_cycles", "settle_time"),
-    },
-    "multistability": {**_POOL, "grid": _GRID, "options": ("detect_cycles", "settle_time")},
+    "mf-evolve": {"evolve": ("initials", "t_end")},
+    "mf-phase-diagram": {**_POOL, "grid": _GRID, "options": ("select_branch",)},
+    "multistability": {**_POOL, "grid": _GRID},
     "quantum-steady": {**_POOL, "grid": _GRID},
     "quantum-gap": {**_POOL, "grid": _GRID},
-    "quantum-evolve": {"quantum_evolve": ("initial", "t_end", "n_snapshots", "rel_tol", "abs_tol")},
-    "hysteresis:mf": {"hysteresis": _HYSTERESIS + ("settle_time",)},
+    "quantum-evolve": {"quantum_evolve": ("initial", "t_end", "n_snapshots")},
+    "hysteresis:mf": {"hysteresis": _HYSTERESIS},
     "hysteresis:quantum": {"hysteresis": _HYSTERESIS + ("window",)},
     "boundaries": {"boundaries": ("V_min", "V_max", "count")},
 }
@@ -75,7 +76,11 @@ _COMMON = {
 
 # Keys that configs and metadata files of earlier versions carry but no
 # runner reads.  Where a task does not read one it is dropped on load,
-# its value unchecked, with one warning naming every dropped path.
+# its value unchecked, with one warning naming every dropped path.  The
+# numerics knobs among them each had one value in use, which the run
+# now fixes: settle windows of 200, the cycle check always on, the
+# bistable split 0.05, integrator tolerances 1e-10 and 1e-12 and the
+# limit-cycle transient fraction 0.5.
 RETIRED_KEYS = (
     "rng_seed",
     "workers",
@@ -87,7 +92,13 @@ RETIRED_KEYS = (
     "options.settle_time",
     "options.gap_k",
     "hysteresis.settle_time",
+    "hysteresis.threshold",
     "hysteresis.window",
+    "evolve.rel_tol",
+    "evolve.abs_tol",
+    "evolve.transient_fraction",
+    "quantum_evolve.rel_tol",
+    "quantum_evolve.abs_tol",
 )
 
 _BLOCKS = {name for blocks in READS.values() for name in blocks} - {"config"}
@@ -97,16 +108,11 @@ _BLOCKS = {name for blocks in READS.values() for name in blocks} - {"config"}
 class EvolveOpts:
     initials: list[list[float]] = field(default_factory=lambda: [[0.0, 0.0, 1.0]])
     t_end: float = 200.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    transient_fraction: float = 0.5
 
 
 @dataclass
 class SweepOpts:
     select_branch: bool = True
-    detect_cycles: bool = True
-    settle_time: float = 200.0
 
 
 @dataclass
@@ -114,8 +120,6 @@ class QuantumEvolveOpts:
     initial: str | dict = "south"
     t_end: float = 100.0
     n_snapshots: int = 201
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
 
 
 @dataclass
@@ -125,9 +129,7 @@ class HysteresisOpts:
     count: int = 51
     direction: str = "both"
     solver: str = "mf"
-    settle_time: float = 200.0
     window: float = 40.0
-    threshold: float = 0.05
 
 
 @dataclass
@@ -198,21 +200,6 @@ def _positive(value, where: str) -> float:
     return value
 
 
-def _tolerance(value, where: str) -> float:
-    """An integrator tolerance, in (0, 1e-3] like ``integrate_trajectory``'s."""
-    value = _number(value, where)
-    if not 0.0 < value <= 1e-3:
-        raise ConfigError(f"{where}: must be in (0, 1e-3], got {value}")
-    return value
-
-
-def _fraction(value, where: str) -> float:
-    value = _number(value, where)
-    if not 0.0 <= value < 1.0:
-        raise ConfigError(f"{where}: must be in [0, 1), got {value}")
-    return value
-
-
 def _integer(minimum=None):
     def check(value, where: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -278,25 +265,16 @@ _CHECKS = {
     "model.N": _integer(),
     "evolve.initials": _initials,
     "evolve.t_end": _positive,
-    "evolve.rel_tol": _tolerance,
-    "evolve.abs_tol": _tolerance,
-    "evolve.transient_fraction": _fraction,
     "options.select_branch": _boolean,
-    "options.detect_cycles": _boolean,
-    "options.settle_time": _positive,
     "quantum_evolve.initial": _initial_state,
     "quantum_evolve.t_end": _positive,
     "quantum_evolve.n_snapshots": _integer(2),
-    "quantum_evolve.rel_tol": _tolerance,
-    "quantum_evolve.abs_tol": _tolerance,
     "hysteresis.p_min": _number,
     "hysteresis.p_max": _number,
     "hysteresis.count": _integer(1),
     "hysteresis.direction": _one_of("up", "down", "both"),
     "hysteresis.solver": _one_of("mf", "quantum"),
-    "hysteresis.settle_time": _positive,
     "hysteresis.window": _positive,
-    "hysteresis.threshold": _positive,
     "boundaries.V_min": _number,
     "boundaries.V_max": _number,
     "boundaries.count": _integer(1),

@@ -437,8 +437,8 @@ def propagate(
     liouv: LiouvillianMatrix,
     rho0: np.ndarray,
     times,
-    rtol: float,
-    atol: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
 ) -> list[np.ndarray]:
     """Density matrices at the ascending ``times`` from ``rho0`` at t = 0.
 

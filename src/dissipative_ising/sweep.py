@@ -4,7 +4,11 @@ Grid points are independent tasks, run in blocks of contiguous points:
 failures are recorded per row and never abort a sweep, output order is
 row-major over the grid no matter how many workers run, and every point
 is computed deterministically and apart from the rest of its block, so
-results are reproducible bit for bit at any worker count.
+results are reproducible bit for bit at any worker count.  Branch
+selection and the mean-field hysteresis run at fixed settings: settle
+windows of ``SETTLE_WINDOW``, one cycle check where four of them neither
+capture nor converge the pole trajectory, and the bistable split
+``BRANCH_SPLIT_TOL``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ SOUTH_POLE_SEED = np.array([1e-3, 1e-3, -math.sqrt(1.0 - 2e-6)])
 
 # Bistable-interval threshold on |Z_up - Z_down|.
 BRANCH_SPLIT_TOL = 0.05
+
+# Length of one settle window: of branch selection and of each
+# mean-field hysteresis station.
+SETTLE_WINDOW = 200.0
 
 
 @dataclass(frozen=True)
@@ -135,37 +143,33 @@ class PhasePoint:
         return len(self.stable_points)
 
 
-def _select_branch(
-    params: ModelParams, stable: list[FixedPoint], settle_time: float, detect_cycles: bool
-):
+def _select_branch(params: ModelParams, stable: list[FixedPoint]):
     """Z of the stable fixed point reached from (just off) the south pole.
 
     On the integrable lines p = 1 and g = 0 the pole orbit is decided in
     closed form (``meanfield.seed_orbit``), with no integration.  An
     orbit that tends to the planar centre selects the stable point
     there.  An orbit that crosses the equator is closed and neutral: it
-    sets the limit-cycle flag (with ``detect_cycles``), though it
-    attracts nothing and its shape depends on the seed.  An orbit that
-    ends on an equator root is a separatrix and gives the row's error.
-    Where the closed form degenerates, or its centre is not a stable
-    point, the schedule below runs.
+    sets the limit-cycle flag, though it attracts nothing and its shape
+    depends on the seed.  An orbit that ends on an equator root is a
+    separatrix and gives the row's error.  Where the closed form
+    degenerates, or its centre is not a stable point, the schedule below
+    runs.
 
     Elsewhere the pole trajectory settles in up to four windows of
-    ``settle_time``.  A window ends as soon as the trajectory enters the
-    certified capture region of a stable point, which then is the
-    selected branch.  With ``detect_cycles``, the cycle check runs before
-    window 1, and a cycle found there ends the point; a check that
-    cannot tell goes on to the next window.  A trajectory that is neither
-    captured nor converged after four windows selects NaN; with
-    ``detect_cycles`` a last check from its end sets the cycle flag, or
-    gives the row's error where it cannot tell.
+    ``SETTLE_WINDOW``.  A window ends as soon as the trajectory enters
+    the certified capture region of a stable point, which then is the
+    selected branch.  A trajectory that is neither captured nor
+    converged after four windows selects NaN, and one cycle check from
+    its end sets the cycle flag, or gives the row's error where it
+    cannot tell.
 
     Returns (selected Z, limit cycle, error).
     """
     orbit = seed_orbit(SOUTH_POLE_SEED, params)
     if orbit is not None:
         if orbit.kind == "closed":
-            return math.nan, detect_cycles, None
+            return math.nan, True, None
         if orbit.kind == "separatrix":
             root = ", ".join(f"{c:.6g}" for c in orbit.point)
             return math.nan, False, f"separatrix: the pole orbit ends on the equator root ({root})"
@@ -173,19 +177,11 @@ def _select_branch(
         if z is not None:
             return z, False, None
     end = SOUTH_POLE_SEED
-    for window in range(4):
-        if detect_cycles and window == 1:
-            try:
-                if _detect_cycle_from(end, params):
-                    return math.nan, True, None
-            except InsufficientDataError:
-                pass
-        end = settle(end, params, settle_time, capture=stable)
+    for _ in range(4):
+        end = settle(end, params, SETTLE_WINDOW, capture=stable)
         if float(np.abs(bloch_rhs(end, params)).max()) < 1e-8:
             break
     else:
-        if not detect_cycles:
-            return math.nan, False, None
         try:
             return math.nan, _detect_cycle_from(end, params), None
         except InsufficientDataError as exc:
@@ -221,16 +217,14 @@ def _failed_row(index, params: ModelParams, exc: Exception) -> PhasePoint:
 
 def _mf_point(task, fixed_points: list[FixedPoint] | None = None) -> PhasePoint:
     """The row of one grid point, from its fixed points if given, else searching them here."""
-    (index, params, select_branch, detect_cycles, settle_time) = task
+    (index, params, select_branch) = task
     try:
         if fixed_points is None:
             fixed_points = find_fixed_points(params)
         stable = [fp for fp in fixed_points if fp.stable]
         selected_z, limit_cycle, error = math.nan, False, None
-        if select_branch or (detect_cycles and not stable):
-            selected_z, limit_cycle, error = _select_branch(
-                params, stable, settle_time, detect_cycles
-            )
+        if select_branch or not stable:
+            selected_z, limit_cycle, error = _select_branch(params, stable)
         return PhasePoint(index=index, params=params, stable_points=stable,
                           selected_Z=selected_z, limit_cycle=limit_cycle, error=error)
     except Exception as exc:  # failures isolate to this row
@@ -307,8 +301,6 @@ def phase_diagram(
     solver: str = "mf",
     workers: int = 1,
     select_branch: bool = True,
-    detect_cycles: bool = True,
-    settle_time: float = 200.0,
     compute_gap: bool = False,
 ) -> list[PhasePoint]:
     """Scan a parameter grid with the mean-field or quantum solver.
@@ -317,9 +309,8 @@ def phase_diagram(
     point, enumerated exactly (see ``find_fixed_points``) for a whole
     block of points in one stacked pass (``find_fixed_points_many``);
     where that pass raises, each point of the block is searched alone,
-    so a failure stays in its row.  With
-    ``select_branch``, or with ``detect_cycles`` where nothing is
-    stable, it then runs the pole-selection schedule of
+    so a failure stays in its row.  With ``select_branch``, or where
+    nothing is stable, it then runs the pole-selection schedule of
     ``_select_branch``, which gives the row's ``selected_Z``,
     limit-cycle flag and ``error``.  ``workers`` is capped at the
     number of CPUs and of grid points, and sets the blocks (see
@@ -334,7 +325,7 @@ def phase_diagram(
         raise ValueError(f"workers must be >= 1, got {workers}")
     points = list(grid.points())
     if solver == "mf":
-        tasks = [(idx, prm, select_branch, detect_cycles, settle_time) for idx, prm in points]
+        tasks = [(idx, prm, select_branch) for idx, prm in points]
         return _run_tasks(_mf_block, tasks, workers)
     if solver == "quantum":
         for _idx, prm in points:
@@ -347,31 +338,18 @@ def phase_diagram(
     raise ValueError(f"solver must be 'mf' or 'quantum', got {solver!r}")
 
 
-def multistability_map(
-    grid: GridSpec,
-    workers: int = 1,
-    detect_cycles: bool = True,
-    settle_time: float = 200.0,
-) -> list[PhasePoint]:
+def multistability_map(grid: GridSpec, workers: int = 1) -> list[PhasePoint]:
     """Stable-solution counts over a (g, p) grid at fixed V.
 
     Branch selection is skipped (only counts and cycle flags matter),
-    which keeps large scans cheap.  With ``detect_cycles``, a point
-    with no stable fixed point still runs the pole-selection schedule
-    of ``_select_branch``, in windows of ``settle_time``, for its
+    which keeps large scans cheap.  A point with no stable fixed point
+    still runs the pole-selection schedule of ``_select_branch`` for its
     cycle flag.
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:
         raise ValueError(f"multistability map sweeps (g, p); got axes {sorted(names)}")
-    return phase_diagram(
-        grid,
-        solver="mf",
-        workers=workers,
-        select_branch=False,
-        detect_cycles=detect_cycles,
-        settle_time=settle_time,
-    )
+    return phase_diagram(grid, solver="mf", workers=workers, select_branch=False)
 
 
 def analytic_boundaries(v_values, gamma: float = 1.0) -> list[dict]:
@@ -420,13 +398,12 @@ class HysteresisResult:
     down_converged: np.ndarray | None
     bistable_interval: tuple[float, float] | None
     solver: str
-    threshold: float
 
 
-def _mf_branch(p_values, base: ModelParams, settle_time: float):
+def _mf_branch(p_values, base: ModelParams):
     path = [replace(base, p=float(p)) for p in p_values]
     initial = np.array([0.0, 0.0, -1.0])
-    points = continuation_sweep(path, initial, settle_time=settle_time)
+    points = continuation_sweep(path, initial, settle_time=SETTLE_WINDOW)
     states = np.array([pt.state for pt in points])
     converged = np.array([pt.converged for pt in points])
     return states, converged
@@ -446,17 +423,16 @@ def hysteresis_experiment(
     base: ModelParams,
     direction: str = "both",
     solver: str = "mf",
-    settle_time: float = 200.0,
     window: float = 40.0,
-    threshold: float = BRANCH_SPLIT_TOL,
 ) -> HysteresisResult:
     """Sweep p up and/or down and locate the bistable interval.
 
-    The mean-field solver uses continuation with ``settle_time`` per
-    station; the quantum solver evolves the density matrix for
+    The mean-field solver uses continuation with one ``SETTLE_WINDOW``
+    per station; the quantum solver evolves the density matrix for
     ``window`` per station starting from the steady state at the first
     station.  Both branches are reported on the ascending p grid; the
-    bistable interval is where |Z_up - Z_down| exceeds ``threshold``.
+    bistable interval is where |Z_up - Z_down| exceeds
+    ``BRANCH_SPLIT_TOL``.
     """
     p_lo, p_hi, count = p_range
     if count < 1:
@@ -478,19 +454,19 @@ def hysteresis_experiment(
     up = down = up_conv = down_conv = None
     if direction in ("up", "both"):
         if solver == "mf":
-            up, up_conv = _mf_branch(p_values, base, settle_time)
+            up, up_conv = _mf_branch(p_values, base)
         else:
             up = _quantum_branch(p_values, base, window)
     if direction in ("down", "both"):
         if solver == "mf":
-            states, conv = _mf_branch(p_values[::-1], base, settle_time)
+            states, conv = _mf_branch(p_values[::-1], base)
             down, down_conv = states[::-1], conv[::-1]
         else:
             down = _quantum_branch(p_values[::-1], base, window)[::-1]
 
     interval = None
     if up is not None and down is not None:
-        split = np.abs(up[:, 2] - down[:, 2]) > threshold
+        split = np.abs(up[:, 2] - down[:, 2]) > BRANCH_SPLIT_TOL
         if split.any():
             lo, hi = np.flatnonzero(split)[[0, -1]]
             interval = (float(p_values[lo]), float(p_values[hi]))
@@ -502,5 +478,4 @@ def hysteresis_experiment(
         down_converged=down_conv,
         bistable_interval=interval,
         solver=solver,
-        threshold=threshold,
     )

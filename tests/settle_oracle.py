@@ -3,11 +3,11 @@
 This is the plain route to the branch reached from the south pole:
 settle for up to four full windows without any capture region and
 accept the endpoint only once its residual is below 1e-8, then run the
-cycle check on every point that did not converge.  The library stops
+cycle check on every point that did not converge.  Off the integrable
+lines p = 1 and g = 0, which it decides in closed form, the library
+(``sweep._select_branch``) differs from this only by capture: it stops
 settling as soon as the trajectory enters the certified capture region
-of a stable point, and checks for a cycle from the seed where there is
-no stable point and after the first window (``sweep._select_branch``);
-the tests compare the two.
+of a stable point.  The tests compare the two.
 """
 
 from __future__ import annotations

@@ -259,7 +259,7 @@ def test_10_tristability_exists():
     for sign in (+1, -1):
         lo, hi = sorted((sign * 0.5, sign * 0.9))
         grid = GridSpec(Axis("g", lo, hi, 9), Axis("p", 0.1, 0.9, 17), fixed)
-        points = multistability_map(grid, workers=8, detect_cycles=False)
+        points = multistability_map(grid, workers=8)
         best = max(best, max(pt.stable_count for pt in points))
         if best >= 3:
             break
@@ -269,7 +269,7 @@ def test_10_tristability_exists():
 
 def test_11_hysteresis_edges_and_nesting():
     base = ModelParams(V=-5, g=-1, p=0)
-    mf = hysteresis_experiment((0.5, 1.0, 101), base, settle_time=200.0)
+    mf = hysteresis_experiment((0.5, 1.0, 101), base)
     assert mf.bistable_interval is not None
     mf_lo, mf_hi = mf.bistable_interval
     # the sharp (saddle-node) edge of the coexistence interval sits at
@@ -305,7 +305,6 @@ def test_12_sweep_determinism(tmp_path):
             "axis1": {"name": "g", "min": -2.0, "max": 2.0, "count": 6},
             "axis2": {"name": "p", "min": 0.0, "max": 1.0, "count": 3},
         },
-        "options": {"settle_time": 150.0},
     }
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))

@@ -54,14 +54,13 @@ class TestPhaseDiagram:
     def test_p1_row_boundary(self):
         # crossing |g| = sqrt(16 V^2 + 1)/8 = 2.50312 kills the stable point
         grid = GridSpec(Axis("g", 2.4, 2.6, 5), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, select_branch=False,
-                               detect_cycles=False)
+        points = phase_diagram(grid, select_branch=False)
         counts = [pt.stable_count for pt in points]
         assert counts == [1, 1, 1, 0, 0]
 
     def test_unstable_region_flags_limit_cycle(self):
         grid = GridSpec(Axis("g", 2.9, 3.1, 2), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, settle_time=100.0)
+        points = phase_diagram(grid)
         for pt in points:
             assert pt.stable_count == 0
             assert pt.limit_cycle
@@ -78,7 +77,7 @@ class TestPhaseDiagram:
         # at p=1, g=1.5 the pole orbit is closed beside the stable focus, so
         # branch selection reports the cycle instead
         grid = GridSpec(Axis("g", 1.5, 1.6, 2), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, settle_time=150.0)
+        points = phase_diagram(grid)
         for pt in points:
             assert pt.stable_count == 1
             assert math.isnan(pt.selected_Z)
@@ -86,8 +85,7 @@ class TestPhaseDiagram:
 
     def test_p0_row_counts(self):
         grid = GridSpec(Axis("g", 0.5, 3.0, 2), None, ModelParams(V=-5, g=0, p=0))
-        points = phase_diagram(grid, select_branch=False,
-                               detect_cycles=False)
+        points = phase_diagram(grid, select_branch=False)
         # g=0.5 inside the ordered window: the +/-X pair; g=3 outside: pole only
         assert points[0].stable_count == 2
         assert points[1].stable_count == 1
@@ -123,8 +121,8 @@ class TestPhaseDiagram:
 
     def test_worker_determinism(self):
         grid = GridSpec(Axis("g", -2.0, 2.0, 3), Axis("p", 0.0, 1.0, 2), FIXED)
-        a = phase_diagram(grid, workers=1, settle_time=100.0)
-        b = phase_diagram(grid, workers=2, settle_time=100.0)
+        a = phase_diagram(grid, workers=1)
+        b = phase_diagram(grid, workers=2)
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
             assert pa.index == pb.index
@@ -145,8 +143,7 @@ class TestPhaseDiagram:
 
         monkeypatch.setattr(meanfield_module, "_p1_candidates", flaky)
         grid = GridSpec(Axis("g", 0.5, 1.5, 3), None, ModelParams(V=-5, g=0, p=1))
-        points = phase_diagram(grid, select_branch=False,
-                               detect_cycles=False)
+        points = phase_diagram(grid, select_branch=False)
         assert [pt.error is not None for pt in points] == [False, True, False]
         assert points[1].error == "RuntimeError: synthetic failure"
         assert points[1].stable_count == 0
@@ -193,34 +190,29 @@ class TestPhaseDiagram:
             assert point.stable_count == 0 and point.limit_cycle
             assert point.error is None and math.isnan(point.selected_Z)
 
-    # (params, select_branch, detect_cycles) -> the settle windows ("settle")
-    # and cycle checks ("check") of the pole-selection schedule, in order
+    # (params, select_branch) -> the settle windows ("settle") and cycle
+    # checks ("check") of the pole-selection schedule, in order
     SCHEDULES = {
         # on the integrable lines p = 1 and g = 0 the closed form decides:
         # a closed orbit with no stable point, at p = 1 and at g = 0
-        "seed_cycle": ((-1.0, -1.05, 1.0), True, True, []),
-        "undecided_seed": ((-5.0, 0.0, 0.2), True, True, []),
+        "seed_cycle": ((-1.0, -1.05, 1.0), True, []),
+        "undecided_seed": ((-5.0, 0.0, 0.2), True, []),
         # a stable focus that the pole orbit spirals into
-        "captured": ((-5.0, 0.8, 1.0), True, True, []),
-        # a closed orbit without cycle detection: NaN and no flag
-        "no_cycle_check": ((-5.0, 0.0, 0.2), True, False, []),
+        "captured": ((-5.0, 0.8, 1.0), True, []),
         # no selection asked for, and a stable point: nothing runs
-        "no_selection": ((-5.0, 0.8, 1.0), False, True, []),
+        "no_selection": ((-5.0, 0.8, 1.0), False, []),
         # a stable point the pole does not reach in four windows, and no
-        # cycle: the check before window 1 and the last check
-        "stable_uncaptured": ((-5.0, -3.0, 0.9), True, True,
-                              ["settle", "check"] + ["settle"] * 3 + ["check"]),
+        # cycle: the windows, then one check from their end
+        "stable_uncaptured": ((-5.0, -3.0, 0.9), True, ["settle"] * 4 + ["check"]),
         # a stable point captured in window 0
-        "captured_interior": ((-5.0, 0.8, 0.5), True, True, ["settle"]),
-        # without cycle detection only the windows run
-        "no_cycle_check_interior": ((-5.0, -3.0, 0.9), True, False, ["settle"] * 4),
+        "captured_interior": ((-5.0, 0.8, 0.5), True, ["settle"]),
         # no selection asked for, and a stable point: nothing runs
-        "no_selection_interior": ((-5.0, 0.8, 0.5), False, True, []),
+        "no_selection_interior": ((-5.0, 0.8, 0.5), False, []),
     }
 
     @pytest.mark.parametrize("case", list(SCHEDULES))
     def test_selection_schedule(self, monkeypatch, case):
-        (v, g, p), select_branch, detect_cycles, expected = self.SCHEDULES[case]
+        (v, g, p), select_branch, expected = self.SCHEDULES[case]
         prm = ModelParams(V=v, g=g, p=p)
         log = []
 
@@ -236,11 +228,9 @@ class TestPhaseDiagram:
         real_check = sweep_module._detect_cycle_from
         monkeypatch.setattr(sweep_module, "settle", settled)
         monkeypatch.setattr(sweep_module, "_detect_cycle_from", checked)
-        pt = sweep_module._mf_point(((0, 0), prm, select_branch, detect_cycles, 200.0))
+        pt = sweep_module._mf_point(((0, 0), prm, select_branch))
         assert log == expected
-        if not detect_cycles:
-            assert not pt.limit_cycle
-        if select_branch and detect_cycles and g != 0.0:
+        if select_branch and g != 0.0:
             # the row is the whole-window one, its error included (at g = 0
             # see TestSelectionOracle)
             count, z, cycle, error = oracle_row(prm)
@@ -252,9 +242,11 @@ class TestPhaseDiagram:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweep_module, "detect_limit_cycle", broken)
-        # the pole trajectory is not captured in window 0 at either point
+        # short windows for speed: the pole trajectory is not captured in
+        # four of them at either point, so the cycle check runs
+        monkeypatch.setattr(sweep_module, "SETTLE_WINDOW", 20.0)
         grid = GridSpec(Axis("g", -3.0, -2.9, 2), None, ModelParams(V=-5, g=0, p=0.9))
-        points = phase_diagram(grid, settle_time=20.0)
+        points = phase_diagram(grid)
         for pt in points:
             assert pt.error == "RuntimeError: synthetic failure"
 
@@ -276,7 +268,11 @@ class TestPhaseDiagram:
 
 
 class TestSelectionOracle:
-    """Capture and the early cycle check against whole-window selection."""
+    """Capture against whole-window selection.
+
+    Off the integrable lines, which the closed form decides, capture is
+    the only difference between the library and the oracle.
+    """
 
     GRID = list(itertools.product(
         (-5.0, -1.0, -0.3),
@@ -289,7 +285,7 @@ class TestSelectionOracle:
         for v, p, g in self.GRID:
             prm = ModelParams(V=v, g=g, p=p)
             count, z, cycle, error = oracle_row(prm)
-            pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
+            pt = sweep_module._mf_point(((0, 0), prm, True))
             same_z = pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
             if (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error) and same_z:
                 continue
@@ -340,7 +336,7 @@ class TestIntegrableLines:
             # four 100-unit windows settle every stable cell of this grid;
             # 200-unit windows give the same rows in 1.7 times the time
             count, z, cycle, error = oracle_row(prm, settle_time=100.0)
-            pt = sweep_module._mf_point(((0, 0), prm, True, True, 200.0))
+            pt = sweep_module._mf_point(((0, 0), prm, True))
             assert (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error), prm
             assert pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z)), prm
             cycles += cycle
@@ -373,7 +369,7 @@ class TestIntegrableLines:
         monkeypatch.setattr(sweep_module, "seed_orbit",
                             lambda _state, _prm: SeedOrbit("separatrix", root))
         self.no_integration(monkeypatch)
-        pt = sweep_module._mf_point(((0, 0), ModelParams(V=-5, g=1.5, p=1), True, True, 200.0))
+        pt = sweep_module._mf_point(((0, 0), ModelParams(V=-5, g=1.5, p=1), True))
         assert math.isnan(pt.selected_Z) and not pt.limit_cycle
         assert pt.error == "separatrix: the pole orbit ends on the equator root (-0.5, 0.25, 0)"
 
@@ -386,23 +382,8 @@ class TestMultistability:
 
     def test_tristable_point_found(self):
         grid = GridSpec(Axis("g", -0.4, -0.3, 2), Axis("p", 0.6, 0.7, 2), FIXED)
-        points = multistability_map(grid, detect_cycles=False)
+        points = multistability_map(grid)
         assert max(pt.stable_count for pt in points) == 3
-
-    def test_settle_time_reaches_settle(self, monkeypatch):
-        # no stable point at V=0, g=1, p=1, Gamma=8, where the closed form
-        # degenerates: the pole trajectory settles in windows of the given length
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return settle(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_module, "settle", counted)
-        grid = GridSpec(Axis("g", 1.0, 2.0, 2), None, ModelParams(V=0, g=0, p=1, Gamma=8))
-        points = multistability_map(grid, settle_time=50.0)
-        assert points[0].stable_count == 0
-        assert calls and set(calls) == {50.0}
 
 
 class TestBoundaries:
@@ -447,7 +428,7 @@ class TestBoundaries:
 class TestHysteresis:
     def test_zero_width_range_gives_identical_points(self):
         res = hysteresis_experiment(
-            (0.4, 0.4, 1), ModelParams(V=-5, g=-1, p=0.4), settle_time=150.0
+            (0.4, 0.4, 1), ModelParams(V=-5, g=-1, p=0.4)
         )
         assert res.p_values.tolist() == [0.4]
         assert np.array_equal(res.up, res.down)
@@ -455,15 +436,14 @@ class TestHysteresis:
 
     def test_single_direction(self):
         res = hysteresis_experiment(
-            (0.0, 0.2, 3), ModelParams(V=-5, g=-1, p=0.0),
-            direction="up", settle_time=100.0,
+            (0.0, 0.2, 3), ModelParams(V=-5, g=-1, p=0.0), direction="up"
         )
         assert res.down is None and res.up is not None
         assert res.bistable_interval is None
 
     def test_mf_bistable_interval_detected(self):
         res = hysteresis_experiment(
-            (0.6, 1.0, 11), ModelParams(V=-5, g=-1, p=0.6), settle_time=200.0
+            (0.6, 1.0, 11), ModelParams(V=-5, g=-1, p=0.6)
         )
         assert res.bistable_interval is not None
         lo, hi = res.bistable_interval
