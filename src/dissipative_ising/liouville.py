@@ -32,14 +32,17 @@ asymptotic decay rate).
 Each question has one route, for every N up to ``N_LIMIT``, and each
 runs in real arithmetic:
 
-* steady state: one sparse LU solve of L with its first row replaced
-  by the trace functional, ones on the d diagonal coordinates
-  (``steady_state``);
-* gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins and
-  shift-invert Arnoldi for the ``GAP_K`` modes nearest zero above, at
-  a shift of 1e-6 times the max-abs entry of L; this is the only size
-  dispatch in the package, and its settings are internal to it
-  (``liouvillian_gap``);
+* steady state: one sparse LU solve of the bordered matrix B, L with
+  its first row replaced by the trace functional, ones on the d
+  diagonal coordinates (``steady_state``);
+* gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins; above
+  it, the LU of the same B gives the steady state and, through one
+  Arnoldi pass on L^-1 over the traceless matrices, the ``GAP_K - 1``
+  nonzero modes nearest zero.  At p = 0, L is block-diagonal in the
+  parity of j - k (the symmetry sectors of Minganti et al., PRA 98,
+  042118 (2018)), and the two sectors are factored and searched apart.
+  This is the only size dispatch in the package, and its settings are
+  internal to it (``liouvillian_gap``);
 * time evolution: one DOP853 integration of the real linear system
   (``propagate``, behind ``evolve_rho`` and ``ramped_evolution``), on
   scipy's compiled code through ``meanfield._dop853``, run from each
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import SolverError
 from .meanfield import ModelParams, _dop853
@@ -78,10 +81,13 @@ __all__ = [
 ]
 
 # The gap comes from a dense full diagonalization up to this spin
-# count and from shift-invert Arnoldi for the GAP_K modes nearest zero
-# beyond it.
+# count and from an Arnoldi pass on L^-1 for the GAP_K modes nearest
+# zero (the zero mode among them) beyond it.
 DENSE_N_MAX = 30
 GAP_K = 16
+# Krylov space of that Arnoldi pass, about six times the modes sought:
+# at N = 50, 64 to 96 vectors ran faster than 48 or 120.
+_KRYLOV_DIM = 90
 # The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
 # vec rejects a matrix whose anti-Hermitian part exceeds this times
@@ -96,8 +102,7 @@ class LiouvillianMatrix:
     """Real matrix of the Liouvillian on the coordinates of ``vec``.
 
     ``scale`` is the max-abs entry of ``matrix``; it is the norm behind
-    the zero-eigenvalue threshold, the marginal-separation warning and
-    the Arnoldi shift.
+    the zero-eigenvalue threshold and the marginal-separation warning.
     """
 
     matrix: sp.csr_matrix
@@ -287,32 +292,101 @@ def dicke_state_rho(basis: DickeBasis, m: float) -> np.ndarray:
     return rho
 
 
-def _eigs_near_zero(liouv: LiouvillianMatrix):
-    """Shift-invert Arnoldi for the ``GAP_K`` eigenvalues nearest zero.
+def _sectors(liouv: LiouvillianMatrix):
+    """(name, coordinates, trace) of each block of L that the solves factor.
 
-    The Liouvillian is singular at exactly zero, so the shift sits
-    1e-6 ``scale`` to the right of the origin, far enough for a
-    well-conditioned factorization, and is moved out to 1e-4 ``scale``
-    on a factorization or convergence failure.  A fixed, deterministic
-    starting vector keeps repeated runs bit-identical.
+    At p = 0 every term of L conserves the parity of j - k: H = (V/2N)
+    Jx^2 + g Jz couples Dicke levels an even number apart, and the
+    dissipator moves rho_jk to rho_(j+1)(k+1).  So L is block-diagonal
+    in (j - k) mod 2.  The even block holds the d diagonal coordinates,
+    first, and so the steady state (``trace`` = d); every matrix of the
+    odd block is traceless (``trace`` = 0).  Elsewhere there is one
+    block, all coordinates (``None``).
     """
-    matrix = liouv.matrix
-    dim = matrix.shape[0]
-    k = min(GAP_K, dim - 2)
+    dim = liouv.basis.dim
+    if liouv.params.p != 0.0:
+        return [("whole space", None, dim)]
+    rows, cols = np.triu_indices(dim, 1)
+    odd = np.concatenate([np.zeros(dim, dtype=bool), np.tile((cols - rows) % 2 == 1, 2)])
+    return [("even sector", np.flatnonzero(~odd), dim), ("odd sector", np.flatnonzero(odd), 0)]
+
+
+def _factor(block: sp.csr_matrix, trace: int, sector: str):
+    """Sparse LU of one block of L; ``sector`` names it in errors.
+
+    With ``trace`` > 0 the block's first row is replaced by the trace
+    functional, ones on its first ``trace`` coordinates (the diagonal
+    ones): the bordered matrix B.  This is the one place that row is
+    built.  Trace preservation makes the replaced row a combination of
+    the others, so B is invertible exactly when the zero eigenvalue of
+    the block is simple.  With ``trace`` = 0 the block is factored as
+    it is.  A singular factorization raises ``SolverError``.
+    """
+    if trace:
+        trace_row = sp.csr_matrix(
+            (np.ones(trace), (np.zeros(trace, dtype=int), np.arange(trace))),
+            shape=(1, block.shape[1]),
+        )
+        block = sp.vstack([trace_row, block[1:]], format="csc")
+    try:
+        return splu(block.tocsc())
+    except RuntimeError as exc:
+        kind = "bordered" if trace else "plain"
+        raise SolverError(
+            f"{kind} system of the {sector} is singular ({exc}); "
+            "the zero eigenvalue is not simple"
+        ) from exc
+
+
+def _steady_solution(lu, coords, liouv: LiouvillianMatrix):
+    """rho from B^-1 e_0 of a bordered block's LU, with its residual.
+
+    The coordinates outside the block (the odd sector at p = 0) are 0.
+    A residual |L vec(rho)| above 1e-8 raises ``SolverError``.
+    """
+    rhs = np.zeros(lu.shape[0])
+    rhs[0] = 1.0
+    solution = lu.solve(rhs)
+    if coords is not None:
+        full = np.zeros(liouv.dim)
+        full[coords] = solution
+        solution = full
+    rho, residual = _normalized_rho(unvec(solution, liouv.basis.dim), liouv)
+    if residual > 1e-8:
+        raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-8")
+    return rho, residual
+
+
+def _inverse_eigenvalues(lu, bordered: bool, sector: str) -> np.ndarray:
+    """The ``GAP_K - 1`` largest-modulus eigenvalues 1/lambda of L^-1 on one block.
+
+    L maps every matrix to a traceless one, and the trace row is its
+    left zero mode, so on a bordered block r -> B^-1 [0; r[1:]] is
+    exactly L^-1 on the traceless matrices: its nonzero eigenvalues are
+    1/lambda over the nonzero modes, and the zero mode drops out.  A
+    plain block (all of it traceless, and invertible) is inverted as it
+    is.  One Arnoldi pass through a Krylov space of ``_KRYLOV_DIM``
+    vectors, from a fixed starting vector so that repeated runs are
+    bit-identical.  An ARPACK failure raises ``SolverError``; nothing
+    is retried.
+    """
+    n = lu.shape[0]
+    k = min(GAP_K - 1, n - 2)
     if k < 1:
-        raise SolverError(f"matrix dimension {dim} too small for iterative solve")
-    v0 = np.ones(dim) / np.sqrt(dim)
-    failures = []
-    for sigma_rel in (1e-6, 1e-4):
-        sigma = sigma_rel * max(liouv.scale, 1.0)
-        try:
-            vals, vecs = eigs(matrix, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
-            return vals, vecs
-        except (ArpackError, ArpackNoConvergence, RuntimeError, ValueError) as exc:
-            failures.append(f"sigma={sigma:.2e}: {exc}")
-    raise SolverError(
-        "shift-invert Arnoldi failed for all shifts:\n" + "\n".join(failures)
-    )
+        raise SolverError(f"{sector} of dimension {n} is too small for the iterative gap")
+
+    def solve(r):
+        if bordered:
+            r = r.copy()  # ARPACK's work array
+            r[0] = 0.0
+        return lu.solve(r)
+
+    operator = LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        return eigs(operator, k=k, which="LM", ncv=min(_KRYLOV_DIM, n),
+                    v0=np.ones(n) / np.sqrt(n), return_eigenvectors=False)
+    except ArpackError as exc:
+        raise SolverError(f"Arnoldi on the {sector} failed: {exc}") from exc
 
 
 def _normalized_rho(rho: np.ndarray, liouv: LiouvillianMatrix):
@@ -338,61 +412,28 @@ def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
     """Steady state from one sparse direct solve, for every N.
 
     The first row of the real L is replaced by the trace functional,
-    ones on the d diagonal coordinates, and L' vec(rho) = e_1 is solved
-    by real sparse LU.  Trace preservation makes that row a combination
-    of the others, so the bordered matrix is invertible exactly when the
+    ones on the d diagonal coordinates, and B vec(rho) = e_1 is solved
+    by real sparse LU (``_factor``).  B is invertible exactly when the
     zero eigenvalue of L is simple; a singular factorization raises
     ``SolverError``, and so does a residual |L vec(rho)| above 1e-8.
     The result is Hermitian by construction and trace-normalized;
     positivity is warned about, not enforced.
     """
-    dim = liouv.basis.dim
-    trace_row = sp.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim))),
-        shape=(1, dim * dim),
-    )
-    bordered = sp.vstack([trace_row, liouv.matrix[1:]], format="csc")
-    rhs = np.zeros(dim * dim)
-    rhs[0] = 1.0
-    try:
-        solution = splu(bordered).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"bordered steady-state system is singular ({exc}); "
-            "the zero eigenvalue is not simple"
-        ) from exc
-    rho, residual = _normalized_rho(unvec(solution, dim), liouv)
-    if residual > 1e-8:
-        raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-8")
+    lu = _factor(liouv.matrix, liouv.basis.dim, "whole space")
+    rho, residual = _steady_solution(lu, None, liouv)
     return SteadyStateResult(rho=rho, residual=residual, zero_multiplicity=1)
 
 
-def _spectral_result(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatrix) -> SpectralResult:
-    """Gap, zero mode and sorted eigenvalues from (part of) the spectrum."""
+def _spectral_result(vals: np.ndarray, rho: np.ndarray, liouv: LiouvillianMatrix) -> SpectralResult:
+    """Gap, zero multiplicity and sorted eigenvalues; ``vals`` hold the zero mode."""
     tol = 1e-10 * max(liouv.scale, 1.0)  # |lambda| below this counts as zero
     moduli = np.abs(vals)
-    near_zero = np.flatnonzero(moduli < tol)
-    multiplicity = int(near_zero.size)
-    candidates = list(near_zero) if multiplicity else [int(np.argmin(moduli))]
-    # the zero mode is the candidate with the largest trace
-    modes = [unvec(vecs[:, i], liouv.basis.dim) for i in candidates]
-    traces = [abs(np.trace(mode)) for mode in modes]
-    best = int(np.argmax(traces))
-    if traces[best] < 1e-10:
-        raise SolverError(
-            "zero-eigenvalue eigenvector is traceless; no steady state extracted"
-        )
-    rho, _residual = _normalized_rho(modes[best], liouv)
-
     nonzero = vals[moduli >= tol]
-    if nonzero.size == 0:
-        gap = 0.0
-    else:
-        gap = float(abs(nonzero.real.max()))
-    sorted_second = np.sort(moduli)
-    if sorted_second.size > 1 and tol <= sorted_second[1] < 10.0 * tol:
+    gap = float(abs(nonzero.real.max())) if nonzero.size else 0.0
+    sorted_moduli = np.sort(moduli)
+    if sorted_moduli.size > 1 and tol <= sorted_moduli[1] < 10.0 * tol:
         warnings.warn(
-            f"second eigenvalue modulus {sorted_second[1]:.2e} is within 10x of "
+            f"second eigenvalue modulus {sorted_moduli[1]:.2e} is within 10x of "
             f"the zero threshold {tol:.2e}; gap/steady-state separation is marginal",
             stacklevel=3,
         )
@@ -401,8 +442,51 @@ def _spectral_result(vals: np.ndarray, vecs: np.ndarray, liouv: LiouvillianMatri
         eigenvalues=vals[order],
         gap=gap,
         steady_state=rho,
-        zero_multiplicity=max(multiplicity, 1),
+        zero_multiplicity=max(int(np.count_nonzero(moduli < tol)), 1),
     )
+
+
+def _dense_gap(liouv: LiouvillianMatrix) -> SpectralResult:
+    """The full spectrum by dense eigendecomposition; rho is the zero mode.
+
+    Of the eigenvalues below the zero threshold (or, if none, the one
+    smallest in modulus), the zero mode is the one whose eigenvector
+    has the largest trace.
+    """
+    vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
+    tol = 1e-10 * max(liouv.scale, 1.0)
+    moduli = np.abs(vals)
+    near_zero = np.flatnonzero(moduli < tol)
+    candidates = list(near_zero) if near_zero.size else [int(np.argmin(moduli))]
+    modes = [unvec(vecs[:, i], liouv.basis.dim) for i in candidates]
+    traces = [abs(np.trace(mode)) for mode in modes]
+    best = int(np.argmax(traces))
+    if traces[best] < 1e-10:
+        raise SolverError(
+            "zero-eigenvalue eigenvector is traceless; no steady state extracted"
+        )
+    rho, _residual = _normalized_rho(modes[best], liouv)
+    return _spectral_result(vals, rho, liouv)
+
+
+def _iterative_gap(liouv: LiouvillianMatrix) -> SpectralResult:
+    """The ``GAP_K`` eigenvalues nearest zero, and the steady state, from one LU per sector.
+
+    Each sector of ``_sectors`` is factored once (``_factor``).  The
+    bordered one gives the steady state, B^-1 e_0, and every sector one
+    Arnoldi pass on L^-1 (``_inverse_eigenvalues``).  The eigenvalues
+    are the exact zero of the steady state and 1/mu over the returned
+    mu; at p = 0 that is ``GAP_K - 1`` from each parity sector, and the
+    gap is the smaller of the two sectors' gaps.
+    """
+    vals = [np.zeros(1, dtype=complex)]
+    for sector, coords, trace in _sectors(liouv):
+        block = liouv.matrix if coords is None else liouv.matrix[coords][:, coords]
+        lu = _factor(block, trace, sector)
+        if trace:
+            rho, _residual = _steady_solution(lu, coords, liouv)
+        vals.append(1.0 / _inverse_eigenvalues(lu, bool(trace), sector))
+    return _spectral_result(np.concatenate(vals), rho, liouv)
 
 
 def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
@@ -410,27 +494,27 @@ def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
 
     The gap is |Re| of the nonzero eigenvalue with the largest real
     part, after excluding eigenvalues with |lambda| below 1e-10 times
-    ``liouv.scale``.  The solver and its settings follow from N alone,
-    and both solvers run on the real matrix: up to ``DENSE_N_MAX`` spins
-    the full spectrum comes from a dense eigendecomposition; above it,
-    real shift-invert Arnoldi returns the ``GAP_K`` eigenvalues nearest
-    zero.  The steady state and zero multiplicity come from the zero
-    mode of the same eigensolve.
+    ``liouv.scale``.  The solver follows from N alone, and both solvers
+    run on the real matrix.  Up to ``DENSE_N_MAX`` spins the full
+    spectrum and the zero mode, the steady state, come from a dense
+    eigendecomposition (``_dense_gap``).  Above it one sparse LU of the
+    bordered matrix of ``steady_state`` gives both the steady state and
+    an Arnoldi pass on L^-1 over the traceless matrices, which returns
+    the ``GAP_K - 1`` nonzero eigenvalues nearest zero
+    (``_iterative_gap``).  At p = 0 the two parity sectors of L are
+    solved apart, each with its own LU and Arnoldi pass.
     In a gapless/degenerate window the zero multiplicity is reported
     rather than failing.
 
     Known limitation: the iterative gap is the rightmost of the
-    ``GAP_K`` eigenvalues smallest in modulus, not the rightmost
-    eigenvalue.  A slow mode far up the imaginary axis is missed and
-    the gap comes out too large: at N = 50, V = -5, p = 0, g = -3 it
-    reads 0.987, while the full spectrum has a nonzero mode with real
-    part -0.499.
+    eigenvalues smallest in modulus, not the rightmost eigenvalue.  A
+    slow mode far up the imaginary axis can be missed, and the gap then
+    comes out too large: at N = 50, V = -5, g = -3 it is missed at
+    p = 0.75.
     """
     if liouv.basis.n_spins <= DENSE_N_MAX:
-        vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
-    else:
-        vals, vecs = _eigs_near_zero(liouv)
-    return _spectral_result(vals, vecs, liouv)
+        return _dense_gap(liouv)
+    return _iterative_gap(liouv)
 
 
 def propagate(

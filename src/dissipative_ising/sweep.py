@@ -244,8 +244,8 @@ def quantum_point(index, params: ModelParams, compute_gap: bool) -> PhasePoint:
     """Quantum steady state, and optionally the gap, at one grid point.
 
     The magnetization comes from ``steady_state``, or with
-    ``compute_gap`` from the zero mode of the gap eigensolve.  Solver
-    failures raise.
+    ``compute_gap`` from the steady state of ``liouvillian_gap``.
+    Solver failures raise.
     """
     liouv = build_liouvillian(params, build_basis(params.N))
     if compute_gap:

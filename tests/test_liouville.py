@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import warnings
 import weakref
 
@@ -9,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply
 
 from dissipative_ising import (
     IntegrationError,
@@ -32,7 +33,9 @@ from dissipative_ising import (
     unvec,
     vec,
 )
-from dissipative_ising.liouville import _eigs_near_zero, _spectral_result
+import dissipative_ising.liouville as liouville_module
+from dissipative_ising.liouville import _iterative_gap
+from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
 from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
 
 # (N, p, g, V) on which the real form and the steady state are checked
@@ -321,30 +324,112 @@ class TestGap:
         prm = ModelParams(V=-5, g=1, p=0, N=20)
         liouv = build_liouvillian(prm, build_basis(20))
         dense = liouvillian_gap(liouv)
-        iterative = _spectral_result(*_eigs_near_zero(liouv), liouv)
+        iterative = _iterative_gap(liouv)
         assert dense.gap == pytest.approx(iterative.gap, rel=1e-6)
-        # and over a (p, g) grid: shift-invert returns the modes nearest
-        # zero, so a slow mode far up the imaginary axis can be missed
-        # (a gap off by O(0.1), always too large); where the rightmost
-        # mode is among them its gap agrees with dense to 1e-9
+        # and over a (p, g) grid: the Arnoldi pass on L^-1 returns the
+        # modes nearest zero, so a slow mode far up the imaginary axis
+        # can be missed (a gap off by O(0.1), always too large); where
+        # the rightmost mode is among them its gap agrees with dense to
+        # 1e-9
         basis = build_basis(20)
         missed = set()
         for p in (0.0, 0.25, 0.5, 0.77, 1.0):
             for g in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
                 liouv = build_liouvillian(ModelParams(V=-5, g=g, p=p, N=20), basis)
                 dense = liouvillian_gap(liouv).gap
-                iterative = _spectral_result(*_eigs_near_zero(liouv), liouv).gap
+                iterative = _iterative_gap(liouv).gap
                 if abs(iterative - dense) > 1e-3:
                     assert iterative > dense, (p, g)
                     missed.add((p, g))
                 else:
                     assert abs(iterative - dense) <= 1e-9, (p, g, iterative - dense)
-        assert missed <= {(0.0, -3.0), (0.77, -3.0)}, missed
+        assert missed <= {(0.77, -3.0)}, missed
 
     def test_eigenvalues_sorted_by_real_part(self):
         liouv = build_liouvillian(ModelParams(V=-3, g=1.5, p=0.6, N=5), build_basis(5))
         vals = liouvillian_gap(liouv).eigenvalues
         assert np.all(np.diff(vals.real) <= 1e-12)
+
+
+def odd_coordinates(dim):
+    """Coordinates of ``vec`` whose matrix unit rho_jk has j - k odd."""
+    odd = np.zeros((dim, dim), dtype=bool)
+    j, k = np.indices((dim, dim))
+    odd[(j - k) % 2 == 1] = True
+    # a coordinate is odd when its basis matrix has only odd entries
+    return np.array([odd[np.abs(unvec(e, dim)) > 0].all() for e in np.eye(dim * dim)])
+
+
+class TestParitySectors:
+    """At p = 0, L is block-diagonal in (j - k) mod 2 and the gap route
+    solves the two parity sectors apart."""
+
+    def test_blocks_exact_at_p0_only(self):
+        basis = build_basis(20)
+        odd = odd_coordinates(basis.dim)
+        assert 0 < odd.sum() < odd.size
+        for p, coupled in ((0.0, False), (0.25, True)):
+            dense = build_liouvillian(ModelParams(V=-5, g=-3, p=p, N=20), basis).matrix.toarray()
+            off_block = np.concatenate([dense[np.ix_(odd, ~odd)].ravel(), dense[np.ix_(~odd, odd)].ravel()])
+            assert (np.abs(off_block).max() > 0.0) == coupled, p
+
+    def test_p0_gap_matches_dense(self):
+        # the rightmost mode here is in the odd sector
+        liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=0, N=30), build_basis(30))
+        assert abs(_iterative_gap(liouv).gap - liouvillian_gap(liouv).gap) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_gap_route_steady_state(self, p):
+        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=p, N=40), build_basis(40))
+        spectral = liouvillian_gap(liouv)
+        assert np.abs(spectral.steady_state - steady_state(liouv).rho).max() <= 1e-12
+        assert spectral.zero_multiplicity == 1
+
+
+class TestGapFailures:
+    """A failed factorization or Arnoldi pass raises ``SolverError``
+    naming its sector, and a sweep row records it; nothing is retried."""
+
+    N = liouville_module.DENSE_N_MAX + 1  # the smallest N on the iterative route
+
+    def gap_rows(self, p):
+        grid = GridSpec(Axis("g", -3.0, -2.0, 2), None, ModelParams(V=-5, g=0, p=p, N=self.N))
+        return phase_diagram(grid, solver="quantum", compute_gap=True)
+
+    def test_arnoldi_failure(self, monkeypatch):
+        calls = []
+        real_eigs = liouville_module.eigs
+
+        def fail_on_odd(operator, **kwargs):
+            # the even sector is solved first, then the odd one
+            calls.append(operator.shape)
+            if len(calls) % 2 == 0:
+                raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+            return real_eigs(operator, **kwargs)
+
+        monkeypatch.setattr(liouville_module, "eigs", fail_on_odd)
+        liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=0, N=self.N), build_basis(self.N))
+        with pytest.raises(SolverError, match="odd sector"):
+            liouvillian_gap(liouv)
+        assert len(calls) == 2
+        calls.clear()
+        rows = self.gap_rows(0.0)
+        assert len(calls) == 4
+        for row in rows:
+            assert row.error.startswith("SolverError") and "odd sector" in row.error
+            assert row.gap is None and math.isnan(row.selected_Z)
+
+    def test_singular_factorization(self, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(liouville_module, "splu", singular)
+        for p, sector in ((0.0, "even sector"), (0.5, "whole space")):
+            liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=p, N=self.N), build_basis(self.N))
+            with pytest.raises(SolverError, match=sector):
+                liouvillian_gap(liouv)
+            for row in self.gap_rows(p):
+                assert row.error.startswith("SolverError") and sector in row.error
 
 
 class TestEvolveRho:
