@@ -43,10 +43,12 @@ runs in real arithmetic:
   042118 (2018)), and the two sectors are factored and searched apart.
   This is the only size dispatch in the package, and its settings are
   internal to it (``liouvillian_gap``);
-* time evolution: one DOP853 integration of the real linear system
-  (``propagate``, behind ``evolve_rho`` and ``ramped_evolution``), on
-  scipy's compiled code through ``meanfield._dop853``, run from each
-  output time to the next.
+* time evolution: exp(dt L) of the real linear system from each output
+  time to the next, by a shift-and-invert Krylov exponential on one
+  sparse LU of I - gamma L per interval length (``propagate``, behind
+  ``evolve_rho`` and ``ramped_evolution``).  Its steps are not bound by
+  the stiffness of L, whose eigenvalues reach |lambda| = 27 to 37 at
+  N = 30.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
-from .errors import SolverError
-from .meanfield import ModelParams, _dop853
+from .errors import IntegrationError, SolverError
+from .meanfield import ModelParams
 from .operators import DickeBasis, build_basis, op_cartesian, op_ladder
 
 __all__ = [
@@ -95,6 +97,25 @@ N_LIMIT = 200
 # whose entries are at most 1 in modulus.
 HERMITIAN_TOL = 1e-12
 _SQRT2 = np.sqrt(2.0)
+# propagate's shift-and-invert Krylov exponential (``_exponential``).  The
+# shift gamma is this fraction of the interval.  Of fractions from 0.005
+# to 1 it needed the fewest Krylov vectors, or at most 10 more, at
+# N = 10 and 30 over intervals from 0.01 to 100.
+_SHIFT_FRACTION = 0.02
+# Most Krylov vectors for one interval.  The 40-unit windows of an N = 30
+# ramp use 10 to 55, intervals of 5 to 20 at N = 30 up to 100, and at
+# N = 100 up to 165; an interval that does not converge within the cap is
+# split in two halves.
+_KRYLOV_MAX = 120
+# Successive approximants are compared every this many vectors.
+_KRYLOV_CHECK = 5
+# The stop target is this fraction of the caller's error scale,
+# min(atol, rtol |y|).  The difference of two approximants understates
+# the error of the later one where convergence stalls: on the N = 30 ramp
+# at rtol 1e-8, atol 1e-10, a fraction of 1 left magnetizations 8.7e-12
+# from DOP853 at rtol 1e-12, and 1e-2 leaves 3.0e-13.
+_TARGET_FRACTION = 1e-2
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -517,6 +538,100 @@ def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
     return _iterative_gap(liouv)
 
 
+def _small_exponential(hess: np.ndarray, ratio: float):
+    """exp(ratio (I - hess^-1)) e_1 and the rounding floor of its entries.
+
+    The floor is eps times the 1-norm of the exponent.  Once the Krylov
+    space has converged, successive approximants scatter by rounding
+    alone: at N = 20 and 30, over windows of 0.5 and 40, by at most 0.8
+    times the floor.  Overflow raises ``IntegrationError``, not a
+    warning.
+    """
+    exponent = ratio * (np.eye(hess.shape[0]) - np.linalg.inv(hess))
+    with np.errstate(all="ignore"):
+        column = scipy.linalg.expm(exponent)[:, 0]
+    if not np.isfinite(column).all():
+        raise IntegrationError(
+            "propagated state is not finite: exp(dt L) overflowed or the state was not finite"
+        )
+    return column, _EPS * np.abs(exponent).sum(axis=0).max()
+
+
+def _krylov_exponential(lu, gamma: float, y: np.ndarray, dt: float, rtol: float, atol: float):
+    """exp(dt L) y from Arnoldi on (I - gamma L)^-1, ``lu`` its factor; None if not converged.
+
+    Shift-and-invert Krylov (Moret & Novati, BIT 44 (2004); van den Eshof
+    & Hochbruck, SIAM J. Sci. Comput. 27 (2006)): with the Arnoldi
+    relation (I - gamma L)^-1 V_m = V_m H_m + h v e_m^T, started from
+    y / |y| with full reorthogonalization, exp(dt L) y is approximated by
+    |y| V_m exp(dt (I - H_m^-1) / gamma) e_1.  Every ``_KRYLOV_CHECK``
+    vectors the approximant is compared with the previous one, and it is
+    returned once the two differ by at most ``_TARGET_FRACTION``
+    min(atol, rtol |y|) or the rounding floor of ``_small_exponential``,
+    whichever is larger.  A space that is invariant to rounding, or the
+    whole space, is exact.  Past ``_KRYLOV_MAX`` vectors the result is
+    None.
+    """
+    n = y.size
+    beta = np.linalg.norm(y)
+    if beta == 0.0:
+        return y.copy()
+    target = _TARGET_FRACTION * min(atol, rtol * beta)
+    cap = min(_KRYLOV_MAX, n)
+    basis = np.empty((min(4 * _KRYLOV_CHECK, cap), n))  # grown as it fills
+    hess = np.zeros((cap + 1, cap))
+    basis[0] = y / beta
+    previous = None
+    for j in range(cap):
+        w = lu.solve(basis[j])
+        size = np.linalg.norm(w)
+        for _ in range(2):
+            coef = basis[:j + 1] @ w
+            w -= coef @ basis[:j + 1]
+            hess[:j + 1, j] += coef
+        h = hess[j + 1, j] = np.linalg.norm(w)
+        m = j + 1
+        done = h <= _EPS * size or m == n  # an invariant space: exact
+        if done or m % _KRYLOV_CHECK == 0:
+            column, floor = _small_exponential(hess[:m, :m], dt / gamma)
+            if previous is not None:
+                change = np.linalg.norm(column - np.append(previous, np.zeros(m - previous.size)))
+                done = done or beta * change <= max(target, beta * floor)
+            if done:
+                return beta * (column @ basis[:m])
+            previous = column
+        if m == cap:
+            return None
+        if m == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(m, cap - m), n))])
+        basis[m] = w / h
+
+
+def _exponential(matrix: sp.csr_matrix, y: np.ndarray, dt: float, rtol: float, atol: float,
+                 factors: dict):
+    """exp(dt L) y by the shift-and-invert Krylov exponential, for one interval.
+
+    The shift gamma is ``_SHIFT_FRACTION`` times the interval rounded to
+    12 digits, so that the intervals of a uniform grid, which differ in
+    their last bits, share the LU of I - gamma L kept in ``factors``.
+    Re(lambda) <= 0, so that matrix is invertible.  An interval whose
+    Krylov space does not converge within ``_KRYLOV_MAX`` vectors is
+    marked in ``factors`` and run as two halves.
+    """
+    length = float(f"{dt:.12g}")
+    if length not in factors:
+        shifted = sp.identity(matrix.shape[0], format="csc") - (_SHIFT_FRACTION * length) * matrix
+        factors[length] = splu(shifted.tocsc())
+    if factors[length] is not None:
+        y_end = _krylov_exponential(factors[length], _SHIFT_FRACTION * length, y, dt, rtol, atol)
+        if y_end is not None:
+            return y_end
+        factors[length] = None
+    half = dt / 2.0
+    y_half = _exponential(matrix, y, half, rtol, atol, factors)
+    return _exponential(matrix, y_half, half, rtol, atol, factors)
+
+
 def propagate(
     liouv: LiouvillianMatrix,
     rho0: np.ndarray,
@@ -526,25 +641,24 @@ def propagate(
 ) -> list[np.ndarray]:
     """Density matrices at the ascending ``times`` from ``rho0`` at t = 0.
 
-    DOP853 on the real coordinates (``vec``): scipy's compiled code
-    through ``meanfield._dop853``, run from each output time to the next
-    in turn.  A time equal to the previous one (or to 0) repeats the
-    state there.  The only propagator for density matrices.  A ``rho0``
-    that is not Hermitian raises ``ValueError``.
+    exp(dt L) on the real coordinates (``vec``), from each output time to
+    the next, by a shift-and-invert Krylov exponential (``_exponential``)
+    whose steps are not bound by the stiffness of L.  Each distinct
+    interval length is factored once per call, so a uniform grid costs
+    one sparse LU; no factor outlives the call.  A time equal to the
+    previous one (or to 0) repeats the state there.  The only propagator
+    for density matrices.  A ``rho0`` that is not Hermitian raises
+    ``ValueError``; a state that overflows raises ``IntegrationError``.
     """
     times = [float(t) for t in times]
     if not times or times[0] < 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"times must be ascending from t >= 0, got {times}")
-    matrix = liouv.matrix
-
-    def rhs(_t, y):
-        return matrix @ y
-
+    factors: dict = {}
     t, y = 0.0, vec(rho0)
     states = []
     for t_out in times:
         if t_out > t:
-            y = _dop853(rhs, y, t, t_out, rtol, atol)
+            y = _exponential(liouv.matrix, y, t_out - t, rtol, atol, factors)
             t = t_out
         states.append(unvec(y, liouv.basis.dim))
     return states
@@ -560,10 +674,11 @@ def evolve_rho(
 ) -> np.ndarray:
     """Integrate the master equation from ``rho0`` for time ``t_end``.
 
-    Runs :func:`propagate`, one compiled DOP853 integration, to
-    ``t_end``.  The result is exactly Hermitian, and with the default
-    tolerances the trace drifts by less than 1e-9.  A ``rho0`` that is
-    not Hermitian raises ``ValueError``.
+    Runs :func:`propagate`, one shift-and-invert Krylov exponential, to
+    ``t_end``.  The result is exactly Hermitian.  With the default
+    tolerances the trace drifted by at most 3.2e-13 over 60 random
+    models and states (N from 2 to 30, t_end from 0.1 to 100).  A
+    ``rho0`` that is not Hermitian raises ``ValueError``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:

@@ -39,9 +39,8 @@ no random numbers.
 
 Every integration is DOP853.  ``settle`` and so ``continuation_sweep``
 need only endpoints and run scipy's compiled DOP853 through
-``_dop853``, which ``liouville.propagate`` shares;
-``integrate_trajectory`` keeps ``solve_ivp`` for its dense output,
-which the compiled code does not expose.
+``_dop853``; ``integrate_trajectory`` keeps ``solve_ivp`` for its dense
+output, which the compiled code does not expose.
 
 Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 """
@@ -102,11 +101,10 @@ _SETTLE_RTOL, _SETTLE_ATOL = 1e-12, 1e-14
 _NO_STEP_CAP = 2**31 - 1
 # Weight of the previous error in dop853's step-size control, the
 # stabilized (PI) control of Hairer & Wanner, Solving ODEs II, sec. IV.2.
-# DOP853 defaults to 0 (DOPRI5 to 0.04).  Where the step is held at the
-# stability boundary, as in density-matrix propagation, 0.04 cuts the
-# rejected steps from about a quarter to a few per cent and the
-# right-hand sides of a ramp by a third; settling is accuracy-bound
-# and costs the same.
+# DOP853 defaults to 0 (DOPRI5 to 0.04).  It was chosen for steps held at
+# the stability boundary, which settling's accuracy-bound steps are not:
+# there it costs the same as 0.  It stays, because the shipped outputs
+# of settle are bit-pinned to it.
 _STEP_CONTROL_BETA = 0.04
 # An end of an orbit's arc in the unit disk is an equator root when the
 # orbit's first integral there is within this relative distance of its own.
@@ -886,12 +884,11 @@ class _Dop853:
     The compiled code behind ``scipy.integrate.ode`` (scipy 1.17) keeps
     a reference to the right-hand side and to the step callback of every
     call and never drops it.  A solver built per run would so keep each
-    run's right-hand side, with all it refers to (a whole Liouvillian in
-    ``liouville.propagate``), and its own work arrays alive for the life
-    of the process.  This solver is built once per shape and called
-    through two fixed methods that read the run's ``fun`` and ``stop``
-    from attributes cleared after the run; what stays behind is one
-    bound method, about 60 bytes, per run.
+    run's right-hand side and capture test, with all they refer to, and
+    its own work arrays alive for the life of the process.  This solver
+    is built once per shape and called through two fixed methods that
+    read the run's ``fun`` and ``stop`` from attributes cleared after the
+    run; what stays behind is one bound method, about 60 bytes, per run.
     """
 
     def __init__(self, size: int, rtol: float, atol: float):
@@ -922,7 +919,7 @@ _SOLVERS: dict[tuple[int, float, float], _Dop853] = {}
 def _dop853(fun, y0, t0: float, t_end: float, rtol: float, atol: float, stop=None):
     """State at the end of a DOP853 integration of ``fun`` from (t0, y0) to t_end.
 
-    The endpoint integrator of ``settle`` and ``liouville.propagate``:
+    The endpoint integrator of ``settle``:
     Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec.
     II.10) as compiled in scipy, behind ``scipy.integrate.ode``, with no
     cap on the step count and stabilized step-size control.  Its

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply
+from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply, splu
 
 from dissipative_ising import (
     IntegrationError,
@@ -35,6 +35,7 @@ from dissipative_ising import (
 )
 import dissipative_ising.liouville as liouville_module
 from dissipative_ising.liouville import _iterative_gap
+from dissipative_ising.meanfield import _dop853
 from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
 from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
 
@@ -480,10 +481,13 @@ class TestEvolveRho:
 
 
 class TestPropagate:
-    """``propagate`` runs scipy's compiled DOP853 (``meanfield._dop853``)
-    from each output time to the next; ``expm_multiply`` of the real
-    Liouvillian is the oracle.  At rtol 1e-10 and atol 1e-12 the largest
-    coordinate error on this grid is 5.3e-12, and the bound is 1e-10."""
+    """``propagate`` runs a shift-and-invert Krylov exponential from each
+    output time to the next; ``expm_multiply`` and dense ``expm`` of the
+    real Liouvillian are the oracles.  At rtol 1e-10 and atol 1e-12 the
+    largest coordinate error is 3.2e-14 on the ``expm_multiply`` grid and
+    8.8e-11 on the dense grid, at N = 20, p = 0, V = -5, g = -1 and an
+    interval of 13, where the Krylov space misses a weakly damped mode
+    at -1.06 +- 20.03i.  The bound is 1e-10."""
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.6), (-5.0, 1.0, 1.0), (2.0, 0.5, 0.0), (-1.0, -3.0, 0.3)])
@@ -494,6 +498,58 @@ class TestPropagate:
         got = propagate(liouv, rho0, np.linspace(0.0, 10.0, 6), 1e-10, 1e-12)
         ref = expm_multiply(liouv.matrix, vec(rho0), start=0.0, stop=10.0, num=6, endpoint=True)
         assert max(np.abs(vec(a) - b).max() for a, b in zip(got, ref)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20])
+    @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.0), (2.0, 0.5, 0.0), (-5.0, 1.0, 1.0), (-5.0, -3.0, 1.0)])
+    def test_against_dense_expm(self, n, v, g, p):
+        # oracle: scipy.linalg.expm of the dense real Liouvillian, per
+        # interval from 0.01 to 40 and on a uniform snapshot grid
+        basis = build_basis(n)
+        liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), basis)
+        dense = liouv.matrix.toarray()
+        rho0 = dicke_state_rho(basis, -basis.j)
+        for dt in (0.01, 0.5, 5.0, 13.0, 40.0):
+            got = vec(propagate(liouv, rho0, [dt], 1e-10, 1e-12)[-1])
+            assert np.abs(got - scipy.linalg.expm(dt * dense) @ vec(rho0)).max() < 1e-10
+        times = np.linspace(0.0, 6.0, 13)
+        for t, state in zip(times, propagate(liouv, rho0, times, 1e-10, 1e-12)):
+            assert np.abs(vec(state) - scipy.linalg.expm(t * dense) @ vec(rho0)).max() < 1e-10
+
+    def test_one_factorization_per_interval_length(self, monkeypatch):
+        calls = []
+
+        def counting_splu(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(liouville_module, "splu", counting_splu)
+        basis = build_basis(4)
+        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=0.5, N=4), basis)
+        rho0 = dicke_state_rho(basis, -2.0)
+        # the intervals of linspace differ in their last bits
+        propagate(liouv, rho0, np.linspace(0.0, 6.0, 13), 1e-10, 1e-12)
+        assert len(calls) == 1
+        propagate(liouv, rho0, [0.5, 1.0, 3.0, 5.0], 1e-10, 1e-12)
+        assert len(calls) == 3
+
+    def test_interval_split_at_the_krylov_cap(self, monkeypatch):
+        # with a cap of 20 vectors, an interval of 40 is halved down to
+        # 128 steps of 0.3125: one factorization for each of 8 lengths
+        calls = []
+
+        def counting_splu(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(liouville_module, "splu", counting_splu)
+        monkeypatch.setattr(liouville_module, "_KRYLOV_MAX", 20)
+        basis = build_basis(10)
+        liouv = build_liouvillian(ModelParams(V=-5.0, g=-1.0, p=0.6, N=10), basis)
+        rho0 = dicke_state_rho(basis, -basis.j)
+        got = vec(propagate(liouv, rho0, [40.0], 1e-10, 1e-12)[-1])
+        ref = scipy.linalg.expm(40.0 * liouv.matrix.toarray()) @ vec(rho0)
+        assert np.abs(got - ref).max() < 1e-10
+        assert len(calls) == 8
 
     def test_zero_and_repeated_times(self):
         basis = build_basis(4)
@@ -533,7 +589,7 @@ class TestPropagate:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="dop853: step size becomes too small"):
+            with pytest.raises(IntegrationError, match="propagated state is not finite"):
                 propagate(growing, dicke_state_rho(basis, -1.5), [5.0], 1e-10, 1e-12)
 
 
@@ -569,6 +625,19 @@ class TestRampedEvolution:
         records = ramped_evolution(rho0, [(prm, 1e-9)])
         assert np.abs(records[0][1] - magnetization(rho0)).max() < 1e-7
 
+    def test_matches_dop853_ramp(self):
+        # oracle: meanfield._dop853 at rtol 1e-12, atol 1e-14 over each
+        # window, the state carried across the ten stations
+        n, basis = 10, build_basis(10)
+        schedule = [(ModelParams(V=-5.0, g=-1.0, p=float(p), N=n), 40.0)
+                    for p in np.linspace(0.5, 1.0, 10)]
+        rho0 = steady_state(build_liouvillian(schedule[0][0], basis)).rho
+        y = vec(rho0)
+        for (prm, window), (_prm, mag) in zip(schedule, ramped_evolution(rho0, schedule)):
+            matrix = build_liouvillian(prm, basis).matrix
+            y = _dop853(lambda _t, v: matrix @ v, y, 0.0, window, 1e-12, 1e-14)
+            assert np.abs(mag - magnetization(unvec(y, basis.dim))).max() < 1e-12
+
     def test_schedule_validation(self):
         prm4 = ModelParams(V=1, g=1, p=0.5, N=4)
         prm5 = ModelParams(V=1, g=1, p=0.5, N=5)
@@ -579,3 +648,42 @@ class TestRampedEvolution:
             ramped_evolution(rho, [(prm4, 1.0), (prm5, 1.0)])
         with pytest.raises(ValueError):
             ramped_evolution(rho, [(prm4, -1.0)])
+
+
+def resonance_fluorescence_rho(n: int, g: float, gamma: float) -> np.ndarray:
+    """Closed-form steady state at p = 1, V = 0 (cooperative resonance
+    fluorescence; Puri & Lawande, Phys. Lett. A 72, 200 (1979); Carmichael,
+    J. Phys. B 13, 3551 (1980)): rho proportional to A A^dag with
+    A = (1 - i c J-)^-1, c = Gamma / (g N).  J- is nilpotent, so A is the
+    finite sum of (i c J-)^k; its entries are built from logarithms and
+    scaled by the largest before exponentiating, so that N = 200 at small
+    g does not overflow."""
+    jminus, _ = op_ladder(build_basis(n))
+    log_lower = np.log(np.diagonal(jminus.real, -1))  # J-[k+1, k]
+    cumulative = np.concatenate([[0.0], np.cumsum(log_lower)])
+    k = np.arange(n + 1)
+    row, col = k[:, None], k[None, :]
+    power = np.where(row >= col, row - col, 0)
+    log_mod = np.where(row >= col,
+                       power * math.log(gamma / (g * n)) + cumulative[row] - cumulative[col], -np.inf)
+    a = np.exp(log_mod - log_mod.max()) * 1j ** power
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestExactOracles:
+    """Closed forms of the quantum model at large N."""
+
+    @pytest.mark.parametrize("n", [10, 50, 100, 200])
+    @pytest.mark.parametrize("g", [0.05, 0.2, 0.5, 1.0])
+    def test_cooperative_resonance_fluorescence(self, n, g):
+        prm = ModelParams(V=0.0, g=g, p=1.0, N=n)
+        rho = steady_state(build_liouvillian(prm, build_basis(n))).rho
+        assert np.abs(rho - resonance_fluorescence_rho(n, g, prm.Gamma)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_gap_is_half_gamma_at_p1_g0(self, n):
+        # L is triangular in the Dicke basis; the slowest mode is the
+        # coherence between the south pole and the level above it
+        liouv = build_liouvillian(ModelParams(V=-5.0, g=0.0, p=1.0, N=n), build_basis(n))
+        assert abs(liouvillian_gap(liouv).gap - 0.5) < 1e-12
