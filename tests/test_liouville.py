@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply, splu
+from scipy.sparse.linalg import ArpackNoConvergence, expm_multiply, spsolve
 
 from dissipative_ising import (
     IntegrationError,
@@ -34,7 +34,7 @@ from dissipative_ising import (
     vec,
 )
 import dissipative_ising.liouville as liouville_module
-from dissipative_ising.liouville import _iterative_gap
+from dissipative_ising.liouville import _BandedLU, _iterative_gap
 from dissipative_ising.meanfield import _dop853
 from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
 from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
@@ -518,11 +518,11 @@ class TestPropagate:
     def test_one_factorization_per_interval_length(self, monkeypatch):
         calls = []
 
-        def counting_splu(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return splu(matrix, *args, **kwargs)
+        def counting_factor(matrix, gamma):
+            calls.append(gamma)
+            return _BandedLU(matrix, gamma)
 
-        monkeypatch.setattr(liouville_module, "splu", counting_splu)
+        monkeypatch.setattr(liouville_module, "_BandedLU", counting_factor)
         basis = build_basis(4)
         liouv = build_liouvillian(ModelParams(V=-5, g=1, p=0.5, N=4), basis)
         rho0 = dicke_state_rho(basis, -2.0)
@@ -537,11 +537,11 @@ class TestPropagate:
         # 128 steps of 0.3125: one factorization for each of 8 lengths
         calls = []
 
-        def counting_splu(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return splu(matrix, *args, **kwargs)
+        def counting_factor(matrix, gamma):
+            calls.append(gamma)
+            return _BandedLU(matrix, gamma)
 
-        monkeypatch.setattr(liouville_module, "splu", counting_splu)
+        monkeypatch.setattr(liouville_module, "_BandedLU", counting_factor)
         monkeypatch.setattr(liouville_module, "_KRYLOV_MAX", 20)
         basis = build_basis(10)
         liouv = build_liouvillian(ModelParams(V=-5.0, g=-1.0, p=0.6, N=10), basis)
@@ -591,6 +591,44 @@ class TestPropagate:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="propagated state is not finite"):
                 propagate(growing, dicke_state_rho(basis, -1.5), [5.0], 1e-10, 1e-12)
+
+
+
+class TestBandedLU:
+    """``propagate``'s factor of I - gamma L: LAPACK's banded LU with the
+    coordinates in anti-diagonal order; ``spsolve`` is the oracle."""
+
+    @staticmethod
+    def liouvillian(n, v, g, p):
+        return build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n)).matrix
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 30])
+    def test_half_bandwidths(self, n):
+        width = 2 * (n + 1) + 2
+        generic = _BandedLU(self.liouvillian(n, -5.0, -1.0, 0.6), 0.5)
+        if n >= 4:  # below, the levels are too short to fill the band
+            assert (generic.kl, generic.ku) == (width, width)
+        for g, p in ((-1.0, 0.0), (-1.0, 1.0), (0.0, 0.6), (0.0, 0.0), (0.0, 1.0)):
+            factor = _BandedLU(self.liouvillian(n, -5.0, g, p), 0.5)
+            assert factor.kl <= generic.kl and factor.ku <= generic.ku
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 30])
+    @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.6), (-5.0, -1.0, 0.0), (-5.0, 1.0, 1.0), (2.0, 0.0, 1.0)])
+    def test_solve_matches_spsolve(self, n, v, g, p):
+        matrix = self.liouvillian(n, v, g, p)
+        rhs = np.random.default_rng(n).normal(size=matrix.shape[0])
+        for gamma in (0.01, 0.8, 20.0):
+            ref = spsolve((sp.identity(matrix.shape[0], format="csc") - gamma * matrix).tocsc(), rhs)
+            got = _BandedLU(matrix, gamma).solve(rhs)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_column_raises(self):
+        # column 3 of I - gamma M is e_3 - gamma M[:, 3] = 0
+        matrix = self.liouvillian(2, -5.0, 1.0, 0.5).tolil()
+        matrix[:, 3] = 0.0
+        matrix[3, 3] = 1.0 / 0.5
+        with pytest.raises(SolverError, match="I - gamma L is singular"):
+            _BandedLU(matrix.tocsr(), 0.5)
 
 
 class TestMagnetization:
@@ -687,3 +725,21 @@ class TestExactOracles:
         # coherence between the south pole and the level above it
         liouv = build_liouvillian(ModelParams(V=-5.0, g=0.0, p=1.0, N=n), build_basis(n))
         assert abs(liouvillian_gap(liouv).gap - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_propagation_is_the_death_chain_at_p1_g0(self, n):
+        # H = (V/2N) Jz^2 is diagonal, so the populations form a pure-death
+        # chain: Dicke level k decays into k + 1 at rate (Gamma/N) J-[k+1, k]^2,
+        # and the coherences of a diagonal state stay 0
+        prm = ModelParams(V=-5.0, g=0.0, p=1.0, N=n)
+        basis = build_basis(n)
+        jminus, _ = op_ladder(basis)
+        rates = (prm.Gamma / n) * jminus.real**2
+        chain = rates - np.diag(rates.sum(axis=0))
+        rho0 = dicke_state_rho(basis, basis.j)
+        times = [0.05, 0.5, 2.0, 10.0]
+        states = propagate(build_liouvillian(prm, basis), rho0, times, 1e-10, 1e-12)
+        for t, rho in zip(times, states):
+            populations = scipy.linalg.expm(t * chain) @ np.diag(rho0).real
+            assert np.abs(np.diag(rho).real - populations).max() < 1e-10
+            assert np.abs(rho - np.diag(np.diag(rho))).max() < 1e-12
