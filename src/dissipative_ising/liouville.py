@@ -30,27 +30,30 @@ is |Re| of the nonzero eigenvalue closest to the imaginary axis (the
 asymptotic decay rate).
 
 Each question has one route, for every N up to ``N_LIMIT``, and each
-runs in real arithmetic:
+runs in real arithmetic on one kind of sparse factor, LAPACK's banded
+LU (``_BandedLU``).  Ordered by anti-diagonal level j + k, the
+coordinates make L a band matrix with half-bandwidths 2(N + 1) + 2
+(``_band_order``):
 
-* steady state: one sparse LU solve of the bordered matrix B, L with
-  its first row replaced by the trace functional, ones on the d
-  diagonal coordinates (``steady_state``);
+* steady state: L with the row of one population rho_kk replaced by
+  ``scale`` e_k^T is still banded, and its solution z for e_k has
+  L z = 0 exactly, because the trace row is L's left null vector;
+  rho = z / tr z (``steady_state``, ``_sector_solver``);
 * gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins; above
-  it, the LU of the same B gives the steady state and, through one
+  it, the same pinned factor gives the steady state and, through one
   Arnoldi pass on L^-1 over the traceless matrices, the ``GAP_K - 1``
   nonzero modes nearest zero.  At p = 0, L is block-diagonal in the
   parity of j - k (the symmetry sectors of Minganti et al., PRA 98,
-  042118 (2018)), and the two sectors are factored and searched apart.
-  This is the only size dispatch in the package, and its settings are
-  internal to it (``liouvillian_gap``);
+  042118 (2018)), and the two sectors are factored, each in its own
+  restricted band order, and searched apart.  This is the only size
+  dispatch in the package, and its settings are internal to it
+  (``liouvillian_gap``);
 * time evolution: exp(dt L) of the real linear system from each output
   time to the next, by a shift-and-invert Krylov exponential on one
   banded LU of I - gamma L per interval length (``propagate``, behind
-  ``evolve_rho`` and ``ramped_evolution``).  Ordered by anti-diagonal
-  level j + k, the coordinates make I - gamma L a band matrix with
-  half-bandwidths 2(N + 1) + 2, which LAPACK's ``dgbtrf`` factors
-  (``_BandedLU``).  The steps are not bound by the stiffness of L, whose
-  eigenvalues reach |lambda| = 27 to 37 at N = 30.
+  ``evolve_rho`` and ``ramped_evolution``).  The steps are not bound by
+  the stiffness of L, whose eigenvalues reach |lambda| = 27 to 37 at
+  N = 30.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import IntegrationError, SolverError
 from .meanfield import ModelParams
@@ -118,6 +121,11 @@ _KRYLOV_CHECK = 5
 # at rtol 1e-8, atol 1e-10, a fraction of 1 left magnetizations 8.7e-12
 # from DOP853 at rtol 1e-12, and 1e-2 leaves 3.0e-13.
 _TARGET_FRACTION = 1e-2
+# The steady state's solve pins the fully-down population, and pins the
+# largest one instead where that one is below this fraction of it
+# (``_sector_solver``).  At N = 50, V = -5, g = -3, p = 0.75 the ratio
+# is 1.3e-5, and the gap computed with that pin moves by 1.4e-9.
+_PIN_RATIO = 1e-2
 _EPS = np.finfo(float).eps
 
 
@@ -316,8 +324,78 @@ def dicke_state_rho(basis: DickeBasis, m: float) -> np.ndarray:
     return rho
 
 
+def _band_order(dim: int) -> np.ndarray:
+    """The coordinates of ``vec`` in anti-diagonal order: by s = j + k, then j, Re before Im.
+
+    Every term of L links coordinates at most two levels of s apart: H
+    moves one index of rho_jk by 1 or 2, the dissipator maps (j, k) to
+    (j + 1, k + 1), and folding (k, j) onto the upper triangle keeps s.
+    A level holds at most d + 1 coordinates, so in this order L and
+    I - gamma L are band matrices with half-bandwidths of about 2d:
+    2(N + 1) + 2 for N >= 4 and p < 1, and less at p = 1, where H has no
+    Jx^2 (``_BandedLU``).
+    """
+    rows, cols = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    j = np.concatenate([diag, rows, rows])
+    k = np.concatenate([diag, cols, cols])
+    imag = np.repeat([0, 0, 1], [dim, rows.size, rows.size])
+    return np.lexsort((imag, j, j + k))
+
+
+class _BandedLU:
+    """LU of ``matrix`` + diag(``diagonal``) by LAPACK's banded ``dgbtrf``, coordinates in ``order``.
+
+    The one sparse factorization of the package.  ``matrix`` has the
+    sparsity of L or of one of its parity blocks, and ``order`` is
+    ``_band_order`` or its restriction to that block, in which it is a
+    band matrix: I - gamma L for propagation, and L with one population
+    row pinned, or the odd block, for the steady state and the gap.  The
+    band storage is written straight from the CSR in Fortran order, so
+    that ``dgbtrf`` factors it in place; ``kl`` and ``ku`` are the
+    half-bandwidths measured from the nonzeros.  ``solve`` gathers the
+    right-hand side into ``order``, runs ``dgbtrs`` and scatters the
+    solution back.  A zero pivot raises ``SolverError`` naming the
+    matrix (``name``): no unchecked factor is kept.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, diagonal: np.ndarray, order: np.ndarray, name: str):
+        n = matrix.shape[0]
+        self.order = order
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.arange(n)
+        rows = self.rank[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+        cols = self.rank[matrix.indices]
+        offset = rows - cols
+        self.kl, self.ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        height = 2 * self.kl + self.ku + 1
+        # entry (i, j) of the matrix sits in row kl + ku + i - j of column j;
+        # bincount sums duplicates (and counts in integers if there are no
+        # entries), and its (n, height) reshape transposed is the
+        # Fortran-ordered (height, n) band
+        band = np.bincount(cols * height + self.kl + self.ku + offset,
+                           weights=matrix.data, minlength=n * height)
+        band = band.astype(float, copy=False).reshape(n, height).T
+        band[self.kl + self.ku] += diagonal[order]
+        self.band, self.pivots, info = scipy.linalg.lapack.dgbtrf(
+            band, self.kl, self.ku, overwrite_ab=1)
+        if info > 0:
+            raise SolverError(
+                f"{name} is singular: pivot {info} of {n} of its banded LU is zero"
+            )
+        if info < 0:
+            raise SolverError(f"dgbtrf rejected argument {-info}")
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        x, info = scipy.linalg.lapack.dgbtrs(
+            self.band, self.kl, self.ku, r[self.order], self.pivots, overwrite_b=1)
+        if info:
+            raise SolverError(f"dgbtrs rejected argument {-info}")
+        return x[self.rank]
+
+
 def _sectors(liouv: LiouvillianMatrix):
-    """(name, coordinates, trace) of each block of L that the solves factor.
+    """(name, coordinates, band order, trace) of each block of L that the gap factors.
 
     At p = 0 every term of L conserves the parity of j - k: H = (V/2N)
     Jx^2 + g Jz couples Dicke levels an even number apart, and the
@@ -325,86 +403,110 @@ def _sectors(liouv: LiouvillianMatrix):
     in (j - k) mod 2.  The even block holds the d diagonal coordinates,
     first, and so the steady state (``trace`` = d); every matrix of the
     odd block is traceless (``trace`` = 0).  Elsewhere there is one
-    block, all coordinates (``None``).
+    block, all coordinates (``None``).  Each block's band order is
+    ``_band_order`` restricted to it, in the block's own numbering; at
+    N = 50 it gives half-bandwidths of 54 and 53, against 104 for the
+    whole space.
     """
     dim = liouv.basis.dim
+    order = _band_order(dim)
     if liouv.params.p != 0.0:
-        return [("whole space", None, dim)]
+        return [("whole space", None, order, dim)]
     rows, cols = np.triu_indices(dim, 1)
-    odd = np.concatenate([np.zeros(dim, dtype=bool), np.tile((cols - rows) % 2 == 1, 2)])
-    return [("even sector", np.flatnonzero(~odd), dim), ("odd sector", np.flatnonzero(odd), 0)]
+    is_odd = np.concatenate([np.zeros(dim, dtype=bool), np.tile((cols - rows) % 2 == 1, 2)])
+    rank = np.argsort(order)  # each coordinate's place in the band order
+    even, odd = np.flatnonzero(~is_odd), np.flatnonzero(is_odd)
+    return [("even sector", even, np.argsort(rank[even]), dim),
+            ("odd sector", odd, np.argsort(rank[odd]), 0)]
 
 
-def _factor(block: sp.csr_matrix, trace: int, sector: str):
-    """Sparse LU of one block of L; ``sector`` names it in errors.
+def _sector_solver(block: sp.csr_matrix, order: np.ndarray, trace: int, scale: float, sector: str):
+    """One block's steady state and the map r -> L^-1 r on its traceless matrices.
 
-    With ``trace`` > 0 the block's first row is replaced by the trace
-    functional, ones on its first ``trace`` coordinates (the diagonal
-    ones): the bordered matrix B.  This is the one place that row is
-    built.  Trace preservation makes the replaced row a combination of
-    the others, so B is invertible exactly when the zero eigenvalue of
-    the block is simple.  With ``trace`` = 0 the block is factored as
-    it is.  A singular factorization raises ``SolverError``.
+    A block with ``trace`` = 0 (all of it traceless, and invertible) is
+    factored as it is, and its steady state is None.
+
+    A block with ``trace`` > 0 holds the populations, its first
+    ``trace`` coordinates, and L is singular on it.  The row of one
+    population k is replaced by ``scale`` e_k^T, which keeps the band of
+    L, and z solves that pinned system for e_k.  The trace row is L's
+    left null vector, so L z = 0 exactly: the rows other than k give
+    (L z)_i = 0, and the trace row then gives (L z)_k = 0.  The steady
+    state is z / tr z.  The pinned matrix is invertible exactly when the
+    zero eigenvalue of the block is simple and the steady state has
+    population at k, and it grows ill-conditioned as that population
+    falls.  So the fully-down level, k = d - 1, is pinned first; if z's
+    population there is below ``_PIN_RATIO`` of its largest, that factor
+    is released and the block is factored once more, pinned at the
+    largest.
+
+    The pinned system's solution y for any r has (L y)_i = r_i for
+    i != k, and by the trace row (L y)_k makes L y traceless.  So for a
+    traceless r, L y = r, and y - tr(y) rho_ss is the traceless
+    preimage.  The map r -> y - tr(y) rho_ss is L^-1 on the traceless
+    matrices and sends every r to a traceless matrix: its nonzero
+    eigenvalues are 1/lambda over the nonzero modes, and the zero mode
+    drops out.  The map holds the block's only factor, so dropping it
+    frees the band; only one band is alive at a time.  A zero pivot
+    raises ``SolverError``.
     """
-    if trace:
-        trace_row = sp.csr_matrix(
-            (np.ones(trace), (np.zeros(trace, dtype=int), np.arange(trace))),
-            shape=(1, block.shape[1]),
-        )
-        block = sp.vstack([trace_row, block[1:]], format="csc")
-    try:
-        return splu(block.tocsc())
-    except RuntimeError as exc:
-        kind = "bordered" if trace else "plain"
-        raise SolverError(
-            f"{kind} system of the {sector} is singular ({exc}); "
-            "the zero eigenvalue is not simple"
-        ) from exc
+    n = block.shape[0]
+    if not trace:
+        lu = _BandedLU(block, np.zeros(n), order, sector)
+        return None, lu.solve
+
+    def factor(k):
+        pinned = block.copy()
+        pinned.data[pinned.indptr[k]:pinned.indptr[k + 1]] = 0.0
+        unit = np.zeros(n)
+        unit[k] = 1.0
+        lu = _BandedLU(pinned, scale * unit, order, f"pinned system of the {sector}")
+        return lu, lu.solve(unit)
+
+    pin = trace - 1
+    lu, z = factor(pin)
+    if z[pin] < _PIN_RATIO * z[:trace].max():
+        del lu
+        pin = int(np.argmax(z[:trace]))
+        lu, z = factor(pin)
+    steady = z / z[:trace].sum()
+
+    def solve(r):
+        y = lu.solve(r)
+        return y - y[:trace].sum() * steady
+
+    return steady, solve
 
 
-def _steady_solution(lu, coords, liouv: LiouvillianMatrix):
-    """rho from B^-1 e_0 of a bordered block's LU, with its residual.
+def _steady_solution(steady: np.ndarray, coords, liouv: LiouvillianMatrix):
+    """rho from a block's steady-state coordinates, with its residual.
 
     The coordinates outside the block (the odd sector at p = 0) are 0.
-    A residual |L vec(rho)| above 1e-8 raises ``SolverError``.
+    A residual |L vec(rho)| above 1e-8, or one that is not finite,
+    raises ``SolverError``.
     """
-    rhs = np.zeros(lu.shape[0])
-    rhs[0] = 1.0
-    solution = lu.solve(rhs)
     if coords is not None:
         full = np.zeros(liouv.dim)
-        full[coords] = solution
-        solution = full
-    rho, residual = _normalized_rho(unvec(solution, liouv.basis.dim), liouv)
-    if residual > 1e-8:
+        full[coords] = steady
+        steady = full
+    rho, residual = _normalized_rho(unvec(steady, liouv.basis.dim), liouv)
+    if not residual <= 1e-8:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-8")
     return rho, residual
 
 
-def _inverse_eigenvalues(lu, bordered: bool, sector: str) -> np.ndarray:
+def _inverse_eigenvalues(solve, n: int, sector: str) -> np.ndarray:
     """The ``GAP_K - 1`` largest-modulus eigenvalues 1/lambda of L^-1 on one block.
 
-    L maps every matrix to a traceless one, and the trace row is its
-    left zero mode, so on a bordered block r -> B^-1 [0; r[1:]] is
-    exactly L^-1 on the traceless matrices: its nonzero eigenvalues are
-    1/lambda over the nonzero modes, and the zero mode drops out.  A
-    plain block (all of it traceless, and invertible) is inverted as it
-    is.  One Arnoldi pass through a Krylov space of ``_KRYLOV_DIM``
-    vectors, from a fixed starting vector so that repeated runs are
-    bit-identical.  An ARPACK failure raises ``SolverError``; nothing
-    is retried.
+    ``solve`` is the block's map r -> L^-1 r on the traceless matrices
+    (``_sector_solver``).  One Arnoldi pass through a Krylov space of
+    ``_KRYLOV_DIM`` vectors, from a fixed starting vector so that
+    repeated runs are bit-identical.  An ARPACK failure raises
+    ``SolverError``; nothing is retried.
     """
-    n = lu.shape[0]
     k = min(GAP_K - 1, n - 2)
     if k < 1:
         raise SolverError(f"{sector} of dimension {n} is too small for the iterative gap")
-
-    def solve(r):
-        if bordered:
-            r = r.copy()  # ARPACK's work array
-            r[0] = 0.0
-        return lu.solve(r)
-
     operator = LinearOperator((n, n), matvec=solve, dtype=float)
     try:
         return eigs(operator, k=k, which="LM", ncv=min(_KRYLOV_DIM, n),
@@ -433,18 +535,21 @@ def _normalized_rho(rho: np.ndarray, liouv: LiouvillianMatrix):
 
 
 def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
-    """Steady state from one sparse direct solve, for every N.
+    """Steady state from one banded LU solve, for every N.
 
-    The first row of the real L is replaced by the trace functional,
-    ones on the d diagonal coordinates, and B vec(rho) = e_1 is solved
-    by real sparse LU (``_factor``).  B is invertible exactly when the
-    zero eigenvalue of L is simple; a singular factorization raises
+    The row of one population of the real L is replaced by ``scale``
+    e_k^T, and that system's solution for e_k, which L maps to 0
+    exactly, is normalized to unit trace (``_sector_solver``).  The
+    fully-down population is pinned first, and the largest one if that
+    one is below 1e-2 of it.  The whole space is factored at every p.
+    A zero pivot (the zero eigenvalue of L is not simple) raises
     ``SolverError``, and so does a residual |L vec(rho)| above 1e-8.
     The result is Hermitian by construction and trace-normalized;
     positivity is warned about, not enforced.
     """
-    lu = _factor(liouv.matrix, liouv.basis.dim, "whole space")
-    rho, residual = _steady_solution(lu, None, liouv)
+    dim = liouv.basis.dim
+    steady = _sector_solver(liouv.matrix, _band_order(dim), dim, liouv.scale, "whole space")[0]
+    rho, residual = _steady_solution(steady, None, liouv)
     return SteadyStateResult(rho=rho, residual=residual, zero_multiplicity=1)
 
 
@@ -496,20 +601,23 @@ def _dense_gap(liouv: LiouvillianMatrix) -> SpectralResult:
 def _iterative_gap(liouv: LiouvillianMatrix) -> SpectralResult:
     """The ``GAP_K`` eigenvalues nearest zero, and the steady state, from one LU per sector.
 
-    Each sector of ``_sectors`` is factored once (``_factor``).  The
-    bordered one gives the steady state, B^-1 e_0, and every sector one
-    Arnoldi pass on L^-1 (``_inverse_eigenvalues``).  The eigenvalues
-    are the exact zero of the steady state and 1/mu over the returned
-    mu; at p = 0 that is ``GAP_K - 1`` from each parity sector, and the
-    gap is the smaller of the two sectors' gaps.
+    Each sector of ``_sectors`` is factored in its own band order
+    (``_sector_solver``), one sector after the other, so that only one
+    band is alive at a time.  The one that holds the populations gives
+    the steady state, and every sector one Arnoldi pass on L^-1
+    (``_inverse_eigenvalues``).  The eigenvalues are the exact zero of
+    the steady state and 1/mu over the returned mu; at p = 0 that is
+    ``GAP_K - 1`` from each parity sector, and the gap is the smaller of
+    the two sectors' gaps.
     """
     vals = [np.zeros(1, dtype=complex)]
-    for sector, coords, trace in _sectors(liouv):
+    for sector, coords, order, trace in _sectors(liouv):
         block = liouv.matrix if coords is None else liouv.matrix[coords][:, coords]
-        lu = _factor(block, trace, sector)
+        steady, solve = _sector_solver(block, order, trace, liouv.scale, sector)
         if trace:
-            rho, _residual = _steady_solution(lu, coords, liouv)
-        vals.append(1.0 / _inverse_eigenvalues(lu, bool(trace), sector))
+            rho, _residual = _steady_solution(steady, coords, liouv)
+        vals.append(1.0 / _inverse_eigenvalues(solve, block.shape[0], sector))
+        del solve  # the sector's factor, before the next one is built
     return _spectral_result(np.concatenate(vals), rho, liouv)
 
 
@@ -521,12 +629,12 @@ def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
     ``liouv.scale``.  The solver follows from N alone, and both solvers
     run on the real matrix.  Up to ``DENSE_N_MAX`` spins the full
     spectrum and the zero mode, the steady state, come from a dense
-    eigendecomposition (``_dense_gap``).  Above it one sparse LU of the
-    bordered matrix of ``steady_state`` gives both the steady state and
-    an Arnoldi pass on L^-1 over the traceless matrices, which returns
-    the ``GAP_K - 1`` nonzero eigenvalues nearest zero
-    (``_iterative_gap``).  At p = 0 the two parity sectors of L are
-    solved apart, each with its own LU and Arnoldi pass.
+    eigendecomposition (``_dense_gap``).  Above it one banded LU of L
+    with a population row pinned, as in ``steady_state``, gives both
+    the steady state and an Arnoldi pass on L^-1 over the traceless
+    matrices, which returns the ``GAP_K - 1`` nonzero eigenvalues
+    nearest zero (``_iterative_gap``).  At p = 0 the two parity sectors
+    of L are solved apart, each with its own LU and Arnoldi pass.
     In a gapless/degenerate window the zero multiplicity is reported
     rather than failing.
 
@@ -610,73 +718,6 @@ def _krylov_exponential(lu, gamma: float, y: np.ndarray, dt: float, rtol: float,
         basis[m] = w / h
 
 
-def _band_order(dim: int) -> np.ndarray:
-    """The coordinates of ``vec`` in anti-diagonal order: by s = j + k, then j, Re before Im.
-
-    Every term of L links coordinates at most two levels of s apart: H
-    moves one index of rho_jk by 1 or 2, the dissipator maps (j, k) to
-    (j + 1, k + 1), and folding (k, j) onto the upper triangle keeps s.
-    A level holds at most d + 1 coordinates, so in this order I - gamma L
-    is a band matrix with half-bandwidths of about 2d: 2(N + 1) + 2 for
-    N >= 4 and p < 1, and less at p = 1, where H has no Jx^2 (``_BandedLU``).
-    """
-    rows, cols = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    j = np.concatenate([diag, rows, rows])
-    k = np.concatenate([diag, cols, cols])
-    imag = np.repeat([0, 0, 1], [dim, rows.size, rows.size])
-    return np.lexsort((imag, j, j + k))
-
-
-class _BandedLU:
-    """LU of I - gamma L by LAPACK's banded ``dgbtrf``, coordinates in ``_band_order``.
-
-    The band storage is written straight from the CSR of L in Fortran
-    order, so that ``dgbtrf`` factors it in place; ``kl`` and ``ku`` are
-    the half-bandwidths measured from the nonzeros.  ``solve`` gathers
-    the right-hand side into the band order, runs ``dgbtrs`` and
-    scatters the solution back.  A zero pivot, a singular I - gamma L,
-    raises ``SolverError``: no unchecked factor is kept.
-
-    Only propagation uses it.  The steady state and the gap keep SuperLU
-    (``_factor``): the trace row of their bordered matrix spans every
-    even level of ``_band_order``, so that matrix is not banded.
-    """
-
-    def __init__(self, matrix: sp.csr_matrix, gamma: float):
-        n = matrix.shape[0]
-        self.order = _band_order(math.isqrt(n))
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[self.order] = np.arange(n)
-        rows = self.rank[np.repeat(np.arange(n), np.diff(matrix.indptr))]
-        cols = self.rank[matrix.indices]
-        offset = rows - cols
-        self.kl, self.ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        height = 2 * self.kl + self.ku + 1
-        # entry (i, j) of the matrix sits in row kl + ku + i - j of column j;
-        # bincount sums duplicates, and its (n, height) reshape transposed is
-        # the Fortran-ordered (height, n) band
-        band = np.bincount(cols * height + self.kl + self.ku + offset,
-                           weights=-gamma * matrix.data, minlength=n * height)
-        band = band.reshape(n, height).T
-        band[self.kl + self.ku] += 1.0
-        self.band, self.pivots, info = scipy.linalg.lapack.dgbtrf(
-            band, self.kl, self.ku, overwrite_ab=1)
-        if info > 0:
-            raise SolverError(
-                f"I - gamma L is singular: pivot {info} of {n} of its banded LU is zero"
-            )
-        if info < 0:
-            raise SolverError(f"dgbtrf rejected argument {-info}")
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        x, info = scipy.linalg.lapack.dgbtrs(
-            self.band, self.kl, self.ku, r[self.order], self.pivots, overwrite_b=1)
-        if info:
-            raise SolverError(f"dgbtrs rejected argument {-info}")
-        return x[self.rank]
-
-
 def _exponential(matrix: sp.csr_matrix, y: np.ndarray, dt: float, rtol: float, atol: float,
                  factors: dict):
     """exp(dt L) y by the shift-and-invert Krylov exponential, for one interval.
@@ -690,10 +731,13 @@ def _exponential(matrix: sp.csr_matrix, y: np.ndarray, dt: float, rtol: float, a
     halves.
     """
     length = float(f"{dt:.12g}")
+    gamma = _SHIFT_FRACTION * length
     if length not in factors:
-        factors[length] = _BandedLU(matrix, _SHIFT_FRACTION * length)
+        n = matrix.shape[0]
+        factors[length] = _BandedLU(-gamma * matrix, np.ones(n), _band_order(math.isqrt(n)),
+                                    "I - gamma L")
     if factors[length] is not None:
-        y_end = _krylov_exponential(factors[length], _SHIFT_FRACTION * length, y, dt, rtol, atol)
+        y_end = _krylov_exponential(factors[length], gamma, y, dt, rtol, atol)
         if y_end is not None:
             return y_end
         factors[length] = None

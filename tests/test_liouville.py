@@ -34,7 +34,7 @@ from dissipative_ising import (
     vec,
 )
 import dissipative_ising.liouville as liouville_module
-from dissipative_ising.liouville import _BandedLU, _iterative_gap
+from dissipative_ising.liouville import _BandedLU, _band_order, _iterative_gap, _sector_solver, _sectors
 from dissipative_ising.meanfield import _dop853
 from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
 from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
@@ -387,6 +387,80 @@ class TestParitySectors:
         assert spectral.zero_multiplicity == 1
 
 
+def bordered_matrix(liouv):
+    """Test oracle: L with row 0 replaced by the trace row, ones on the
+    diagonal coordinates; its solution for e_0 is the steady state, and
+    for [0; r[1:]] the traceless preimage of a traceless r."""
+    lil = liouv.matrix.tolil()
+    lil[0, :] = 0.0
+    lil[0, :liouv.basis.dim] = 1.0
+    return lil.tocsc()
+
+
+class TestPinnedSolve:
+    """The steady state and the gap factor L with one population row
+    pinned; SuperLU (``spsolve``) of the bordered matrix is the oracle."""
+
+    # (V, g, p, N): the grid, and a point whose fully-down population is
+    # 9e-11 of the largest
+    POINTS = [(-5.0, g, p, n) for n in (20, 50) for p in (0.0, 0.25, 0.5, 0.75, 1.0)
+              for g in (-3.0, 0.0, 3.0)] + [(-5.0, -1.0, 0.5, 100)]
+
+    @pytest.mark.parametrize("v,g,p,n", POINTS)
+    def test_matches_bordered_superlu(self, v, g, p, n):
+        liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n))
+        dim = liouv.basis.dim
+        bordered = bordered_matrix(liouv)
+        e0 = np.zeros(liouv.dim)
+        e0[0] = 1.0
+        reference = spsolve(bordered, e0)
+        assert np.abs(vec(steady_state(liouv).rho) - reference).max() <= 1e-12 * np.abs(reference).max()
+        # three fixed random traceless vectors through the gap route's
+        # per-sector solves, scattered back to the whole space
+        rng = np.random.default_rng(17)
+        rs = rng.normal(size=(3, liouv.dim))
+        rs[:, :dim] -= rs[:, :dim].mean(axis=1, keepdims=True)
+        got = np.zeros_like(rs)
+        for sector, coords, order, trace in _sectors(liouv):
+            coords = np.arange(liouv.dim) if coords is None else coords
+            block = liouv.matrix[coords][:, coords]
+            steady, solve = _sector_solver(block, order, trace, liouv.scale, sector)
+            if trace:
+                assert np.abs(steady - reference[coords]).max() <= 1e-12 * np.abs(reference).max()
+            for r, x in zip(rs, got):
+                x[coords] = solve(r[coords])
+        for r, x in zip(rs, got):
+            rhs = r.copy()
+            rhs[0] = 0.0
+            expected = spsolve(bordered, rhs)
+            assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max(), (p, g, n)
+
+    @pytest.mark.parametrize("g,p,n,retried", [(-3.0, 0.75, 50, True), (-1.0, 0.5, 100, True),
+                                              (0.0, 0.5, 50, False), (-3.0, 0.0, 50, False)])
+    def test_one_refactorization_and_one_band_alive(self, monkeypatch, g, p, n, retried):
+        # a fully-down population below 1e-2 of the largest is refactored
+        # once, pinned at the largest, after the first factor is released;
+        # the gap route pins the same way, and at p = 0 factors the odd
+        # sector after releasing the even one
+        factors = []
+
+        def tracked_factor(*args):
+            assert all(ref() is None for ref in factors)
+            factor = _BandedLU(*args)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(liouville_module, "_BandedLU", tracked_factor)
+        liouv = build_liouvillian(ModelParams(V=-5.0, g=g, p=p, N=n), build_basis(n))
+        populations = np.diag(steady_state(liouv).rho).real
+        assert (populations[-1] < 1e-2 * populations.max()) == retried
+        assert len(factors) == (2 if retried else 1)
+        assert all(ref() is None for ref in factors)
+        factors.clear()
+        _iterative_gap(liouv)
+        assert len(factors) == (2 if retried else 1) + (p == 0.0)
+
+
 class TestGapFailures:
     """A failed factorization or Arnoldi pass raises ``SolverError``
     naming its sector, and a sweep row records it; nothing is retried."""
@@ -421,10 +495,14 @@ class TestGapFailures:
             assert row.gap is None and math.isnan(row.selected_Z)
 
     def test_singular_factorization(self, monkeypatch):
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        real_dgbtrf = scipy.linalg.lapack.dgbtrf
 
-        monkeypatch.setattr(liouville_module, "splu", singular)
+        def singular(band, kl, ku, **kwargs):
+            # a zero first column: LAPACK reports a zero pivot
+            band[:, 0] = 0.0
+            return real_dgbtrf(band, kl, ku, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
         for p, sector in ((0.0, "even sector"), (0.5, "whole space")):
             liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=p, N=self.N), build_basis(self.N))
             with pytest.raises(SolverError, match=sector):
@@ -518,9 +596,9 @@ class TestPropagate:
     def test_one_factorization_per_interval_length(self, monkeypatch):
         calls = []
 
-        def counting_factor(matrix, gamma):
-            calls.append(gamma)
-            return _BandedLU(matrix, gamma)
+        def counting_factor(*args):
+            calls.append(args[3])
+            return _BandedLU(*args)
 
         monkeypatch.setattr(liouville_module, "_BandedLU", counting_factor)
         basis = build_basis(4)
@@ -537,9 +615,9 @@ class TestPropagate:
         # 128 steps of 0.3125: one factorization for each of 8 lengths
         calls = []
 
-        def counting_factor(matrix, gamma):
-            calls.append(gamma)
-            return _BandedLU(matrix, gamma)
+        def counting_factor(*args):
+            calls.append(args[3])
+            return _BandedLU(*args)
 
         monkeypatch.setattr(liouville_module, "_BandedLU", counting_factor)
         monkeypatch.setattr(liouville_module, "_KRYLOV_MAX", 20)
@@ -595,22 +673,49 @@ class TestPropagate:
 
 
 class TestBandedLU:
-    """``propagate``'s factor of I - gamma L: LAPACK's banded LU with the
-    coordinates in anti-diagonal order; ``spsolve`` is the oracle."""
+    """The one sparse factor: LAPACK's banded LU with the coordinates in
+    anti-diagonal order; ``spsolve`` is the oracle."""
 
     @staticmethod
     def liouvillian(n, v, g, p):
         return build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n)).matrix
 
+    @staticmethod
+    def shifted(matrix, gamma):
+        # propagation's factor of I - gamma L
+        n = matrix.shape[0]
+        return _BandedLU(-gamma * matrix, np.ones(n), _band_order(math.isqrt(n)), "I - gamma L")
+
     @pytest.mark.parametrize("n", [1, 2, 4, 10, 30])
     def test_half_bandwidths(self, n):
         width = 2 * (n + 1) + 2
-        generic = _BandedLU(self.liouvillian(n, -5.0, -1.0, 0.6), 0.5)
+        generic = self.shifted(self.liouvillian(n, -5.0, -1.0, 0.6), 0.5)
         if n >= 4:  # below, the levels are too short to fill the band
             assert (generic.kl, generic.ku) == (width, width)
         for g, p in ((-1.0, 0.0), (-1.0, 1.0), (0.0, 0.6), (0.0, 0.0), (0.0, 1.0)):
-            factor = _BandedLU(self.liouvillian(n, -5.0, g, p), 0.5)
+            factor = self.shifted(self.liouvillian(n, -5.0, g, p), 0.5)
             assert factor.kl <= generic.kl and factor.ku <= generic.ku
+
+    def test_pinned_and_sector_half_bandwidths(self, monkeypatch):
+        # the pinned system keeps the band of I - gamma L; at p = 0 each
+        # parity sector, in its own restricted order, has about half of it
+        widths = {}
+
+        def recording_factor(matrix, diagonal, order, name):
+            factor = _BandedLU(matrix, diagonal, order, name)
+            widths[name] = (factor.kl, factor.ku)
+            return factor
+
+        monkeypatch.setattr(liouville_module, "_BandedLU", recording_factor)
+        for p in (0.0, 0.6):
+            liouv = build_liouvillian(ModelParams(V=-5.0, g=-1.0, p=p, N=50), build_basis(50))
+            steady_state(liouv)
+            _iterative_gap(liouv)
+        assert widths == {
+            "pinned system of the whole space": (104, 104),
+            "pinned system of the even sector": (54, 54),
+            "odd sector": (53, 53),
+        }
 
     @pytest.mark.parametrize("n", [1, 2, 10, 30])
     @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.6), (-5.0, -1.0, 0.0), (-5.0, 1.0, 1.0), (2.0, 0.0, 1.0)])
@@ -619,7 +724,7 @@ class TestBandedLU:
         rhs = np.random.default_rng(n).normal(size=matrix.shape[0])
         for gamma in (0.01, 0.8, 20.0):
             ref = spsolve((sp.identity(matrix.shape[0], format="csc") - gamma * matrix).tocsc(), rhs)
-            got = _BandedLU(matrix, gamma).solve(rhs)
+            got = self.shifted(matrix, gamma).solve(rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_zero_column_raises(self):
@@ -628,7 +733,7 @@ class TestBandedLU:
         matrix[:, 3] = 0.0
         matrix[3, 3] = 1.0 / 0.5
         with pytest.raises(SolverError, match="I - gamma L is singular"):
-            _BandedLU(matrix.tocsr(), 0.5)
+            self.shifted(matrix.tocsr(), 0.5)
 
 
 class TestMagnetization:
@@ -712,12 +817,31 @@ def resonance_fluorescence_rho(n: int, g: float, gamma: float) -> np.ndarray:
 class TestExactOracles:
     """Closed forms of the quantum model at large N."""
 
+    @staticmethod
+    def assert_closed_form(rho, n, g, gamma):
+        exact = resonance_fluorescence_rho(n, g, gamma)
+        assert np.abs(rho - exact).max() < 1e-12
+        # <J> / (N/2) of the closed form: Z from the populations, X and Y
+        # from <J+> = <Jx> + i <Jy> = sum_k <m_k| J+ |m_(k+1)> rho_(k+1)k
+        j, m = n / 2.0, n / 2.0 - np.arange(n + 1)
+        raising = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
+        j_plus = np.sum(raising * np.diagonal(exact, -1))
+        expected = np.array([j_plus.real, j_plus.imag, np.sum(m * np.diag(exact).real)]) / j
+        assert np.abs(magnetization(rho) - expected).max() < 1e-12
+
     @pytest.mark.parametrize("n", [10, 50, 100, 200])
     @pytest.mark.parametrize("g", [0.05, 0.2, 0.5, 1.0])
     def test_cooperative_resonance_fluorescence(self, n, g):
         prm = ModelParams(V=0.0, g=g, p=1.0, N=n)
         rho = steady_state(build_liouvillian(prm, build_basis(n))).rho
-        assert np.abs(rho - resonance_fluorescence_rho(n, g, prm.Gamma)).max() < 1e-12
+        self.assert_closed_form(rho, n, g, prm.Gamma)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("g", [0.05, 0.2, 0.5, 1.0])
+    def test_cooperative_resonance_fluorescence_gap_route(self, n, g):
+        prm = ModelParams(V=0.0, g=g, p=1.0, N=n)
+        rho = liouvillian_gap(build_liouvillian(prm, build_basis(n))).steady_state
+        self.assert_closed_form(rho, n, g, prm.Gamma)
 
     @pytest.mark.parametrize("n", [10, 40, 100])
     def test_gap_is_half_gamma_at_p1_g0(self, n):
