@@ -39,13 +39,15 @@ coordinates make L a band matrix with half-bandwidths 2(N + 1) + 2
   ``scale`` e_k^T is still banded, and its solution z for e_k has
   L z = 0 exactly, because the trace row is L's left null vector;
   rho = z / tr z (``steady_state``, ``_sector_solver``);
-* gap: a dense eigendecomposition up to ``DENSE_N_MAX`` spins; above
-  it, the same pinned factor gives the steady state and, through one
-  Arnoldi pass on L^-1 over the traceless matrices, the ``GAP_K - 1``
-  nonzero modes nearest zero.  At p = 0, L is block-diagonal in the
-  parity of j - k (the symmetry sectors of Minganti et al., PRA 98,
-  042118 (2018)), and the two sectors are factored, each in its own
-  restricted band order, and searched apart.  This is the only size
+* gap: the blocks of L are factored as for the steady state, and the
+  one that holds the populations gives rho.  At p = 0, L is
+  block-diagonal in the parity of j - k (the symmetry sectors of
+  Minganti et al., PRA 98, 042118 (2018)), and the two sectors are
+  factored, each in its own restricted band order, and searched apart.
+  A block's eigenvalues come from a dense eigendecomposition up to
+  ``DENSE_N_MAX`` spins and, above it, from one Arnoldi pass on L^-1
+  over the traceless matrices, the ``GAP_K - 1`` nonzero modes nearest
+  zero.  This is the only size
   dispatch in the package, and its settings are internal to it
   (``liouvillian_gap``);
 * time evolution: exp(dt L) of the real linear system from each output
@@ -88,9 +90,10 @@ __all__ = [
     "ramped_evolution",
 ]
 
-# The gap comes from a dense full diagonalization up to this spin
-# count and from an Arnoldi pass on L^-1 for the GAP_K modes nearest
-# zero (the zero mode among them) beyond it.
+# Each block's eigenvalues for the gap come from a dense full
+# diagonalization up to this spin count and from an Arnoldi pass on L^-1
+# for the GAP_K modes nearest zero (the zero mode among them) beyond it.
+# The steady state comes from the pinned factor at every N.
 DENSE_N_MAX = 30
 GAP_K = 16
 # Krylov space of that Arnoldi pass, about six times the modes sought:
@@ -161,7 +164,12 @@ class SteadyStateResult:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Liouvillian eigenvalues (descending real part), gap, steady state."""
+    """Liouvillian eigenvalues (descending real part), gap, steady state.
+
+    ``eigenvalues`` is the whole spectrum up to ``DENSE_N_MAX`` spins, and
+    above it the exact zero and the ``GAP_K - 1`` nonzero eigenvalues
+    nearest zero of each block (``liouvillian_gap``).
+    """
 
     eigenvalues: np.ndarray
     gap: float
@@ -479,19 +487,30 @@ def _sector_solver(block: sp.csr_matrix, order: np.ndarray, trace: int, scale: f
 
 
 def _steady_solution(steady: np.ndarray, coords, liouv: LiouvillianMatrix):
-    """rho from a block's steady-state coordinates, with its residual.
+    """rho at unit trace from a block's steady-state coordinates, with its residual.
 
     The coordinates outside the block (the odd sector at p = 0) are 0.
-    A residual |L vec(rho)| above 1e-8, or one that is not finite,
-    raises ``SolverError``.
+    The coordinates are real, so rho is exactly Hermitian.  A residual
+    |L vec(rho)| above 1e-8, or one that is not finite, raises
+    ``SolverError``.  Positivity is checked and warned about, not
+    enforced.
     """
     if coords is not None:
         full = np.zeros(liouv.dim)
         full[coords] = steady
         steady = full
-    rho, residual = _normalized_rho(unvec(steady, liouv.basis.dim), liouv)
+    rho = unvec(steady, liouv.basis.dim)
+    rho = rho / np.trace(rho).real
+    residual = float(np.linalg.norm(liouv.matrix @ vec(rho)))
     if not residual <= 1e-8:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds 1e-8")
+    min_eig = float(np.linalg.eigvalsh(rho).min())
+    if min_eig < -1e-8:
+        warnings.warn(
+            f"extracted steady state has eigenvalue {min_eig:.2e} < -1e-8; "
+            "the solve may be inaccurate",
+            stacklevel=3,
+        )
     return rho, residual
 
 
@@ -513,25 +532,6 @@ def _inverse_eigenvalues(solve, n: int, sector: str) -> np.ndarray:
                     v0=np.ones(n) / np.sqrt(n), return_eigenvectors=False)
     except ArpackError as exc:
         raise SolverError(f"Arnoldi on the {sector} failed: {exc}") from exc
-
-
-def _normalized_rho(rho: np.ndarray, liouv: LiouvillianMatrix):
-    """Hermitian part of ``rho`` at unit trace, and its residual |L vec(rho)|.
-
-    Positivity is checked and warned about, not enforced.
-    """
-    rho = (rho + rho.conj().T) / 2.0
-    tr = np.trace(rho).real
-    rho = rho / tr
-    residual = float(np.linalg.norm(liouv.matrix @ vec(rho)))
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < -1e-8:
-        warnings.warn(
-            f"extracted steady state has eigenvalue {min_eig:.2e} < -1e-8; "
-            "the solve may be inaccurate",
-            stacklevel=3,
-        )
-    return rho, residual
 
 
 def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
@@ -575,78 +575,40 @@ def _spectral_result(vals: np.ndarray, rho: np.ndarray, liouv: LiouvillianMatrix
     )
 
 
-def _dense_gap(liouv: LiouvillianMatrix) -> SpectralResult:
-    """The full spectrum by dense eigendecomposition; rho is the zero mode.
+def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
+    """Liouvillian spectrum near zero, the asymptotic decay rate and the steady state.
 
-    Of the eigenvalues below the zero threshold (or, if none, the one
-    smallest in modulus), the zero mode is the one whose eigenvector
-    has the largest trace.
+    The gap is |Re| of the nonzero eigenvalue with the largest real
+    part, after excluding eigenvalues with |lambda| below 1e-10 times
+    ``liouv.scale``.  One loop over the blocks of ``_sectors``, one at a
+    time so that only one band is alive: each is factored as in
+    ``steady_state`` (``_sector_solver``), and the one that holds the
+    populations gives the same rho.  A block's eigenvalues follow from N
+    alone: up to ``DENSE_N_MAX`` spins its whole spectrum by dense
+    ``eig``; above it the exact zero and 1/mu over the ``GAP_K - 1`` mu
+    of one Arnoldi pass on L^-1 (``_inverse_eigenvalues``).  A zero pivot
+    (the zero eigenvalue of L is not simple) raises ``SolverError``
+    naming the block, at every N.
+
+    Known limitation: above ``DENSE_N_MAX`` the gap is the rightmost of
+    the eigenvalues smallest in modulus, not the rightmost eigenvalue.  A
+    slow mode far up the imaginary axis can be missed, and the gap then
+    comes out too large: at N = 50, V = -5, g = -3 it is missed at
+    p = 0.75.
     """
-    vals, vecs = scipy.linalg.eig(liouv.matrix.toarray())
-    tol = 1e-10 * max(liouv.scale, 1.0)
-    moduli = np.abs(vals)
-    near_zero = np.flatnonzero(moduli < tol)
-    candidates = list(near_zero) if near_zero.size else [int(np.argmin(moduli))]
-    modes = [unvec(vecs[:, i], liouv.basis.dim) for i in candidates]
-    traces = [abs(np.trace(mode)) for mode in modes]
-    best = int(np.argmax(traces))
-    if traces[best] < 1e-10:
-        raise SolverError(
-            "zero-eigenvalue eigenvector is traceless; no steady state extracted"
-        )
-    rho, _residual = _normalized_rho(modes[best], liouv)
-    return _spectral_result(vals, rho, liouv)
-
-
-def _iterative_gap(liouv: LiouvillianMatrix) -> SpectralResult:
-    """The ``GAP_K`` eigenvalues nearest zero, and the steady state, from one LU per sector.
-
-    Each sector of ``_sectors`` is factored in its own band order
-    (``_sector_solver``), one sector after the other, so that only one
-    band is alive at a time.  The one that holds the populations gives
-    the steady state, and every sector one Arnoldi pass on L^-1
-    (``_inverse_eigenvalues``).  The eigenvalues are the exact zero of
-    the steady state and 1/mu over the returned mu; at p = 0 that is
-    ``GAP_K - 1`` from each parity sector, and the gap is the smaller of
-    the two sectors' gaps.
-    """
-    vals = [np.zeros(1, dtype=complex)]
+    dense = liouv.basis.n_spins <= DENSE_N_MAX
+    vals = [] if dense else [np.zeros(1, dtype=complex)]
     for sector, coords, order, trace in _sectors(liouv):
         block = liouv.matrix if coords is None else liouv.matrix[coords][:, coords]
         steady, solve = _sector_solver(block, order, trace, liouv.scale, sector)
         if trace:
             rho, _residual = _steady_solution(steady, coords, liouv)
-        vals.append(1.0 / _inverse_eigenvalues(solve, block.shape[0], sector))
+        if dense:
+            vals.append(scipy.linalg.eig(block.toarray(), right=False))
+        else:
+            vals.append(1.0 / _inverse_eigenvalues(solve, block.shape[0], sector))
         del solve  # the sector's factor, before the next one is built
     return _spectral_result(np.concatenate(vals), rho, liouv)
-
-
-def liouvillian_gap(liouv: LiouvillianMatrix) -> SpectralResult:
-    """Liouvillian spectrum near zero and the asymptotic decay rate.
-
-    The gap is |Re| of the nonzero eigenvalue with the largest real
-    part, after excluding eigenvalues with |lambda| below 1e-10 times
-    ``liouv.scale``.  The solver follows from N alone, and both solvers
-    run on the real matrix.  Up to ``DENSE_N_MAX`` spins the full
-    spectrum and the zero mode, the steady state, come from a dense
-    eigendecomposition (``_dense_gap``).  Above it one banded LU of L
-    with a population row pinned, as in ``steady_state``, gives both
-    the steady state and an Arnoldi pass on L^-1 over the traceless
-    matrices, which returns the ``GAP_K - 1`` nonzero eigenvalues
-    nearest zero (``_iterative_gap``).  At p = 0 the two parity sectors
-    of L are solved apart, each with its own LU and Arnoldi pass.
-    In a gapless/degenerate window the zero multiplicity is reported
-    rather than failing.
-
-    Known limitation: the iterative gap is the rightmost of the
-    eigenvalues smallest in modulus, not the rightmost eigenvalue.  A
-    slow mode far up the imaginary axis can be missed, and the gap then
-    comes out too large: at N = 50, V = -5, g = -3 it is missed at
-    p = 0.75.
-    """
-    if liouv.basis.n_spins <= DENSE_N_MAX:
-        return _dense_gap(liouv)
-    return _iterative_gap(liouv)
 
 
 def _small_exponential(hess: np.ndarray, ratio: float):
@@ -761,13 +723,19 @@ def propagate(
     interval length is factored once per call, so a uniform grid costs
     one banded LU (``_BandedLU``); no factor outlives the call.  A time
     equal to the previous one (or to 0) repeats the state there.  The
-    only propagator for density matrices.  A ``rho0`` that is not
-    Hermitian raises ``ValueError``; a state that overflows raises
-    ``IntegrationError``.
+    only propagator for density matrices.  A ``rho0`` that is not a
+    Hermitian (N + 1) x (N + 1) matrix for the N of ``liouv`` raises
+    ``ValueError``; a state that overflows raises ``IntegrationError``.
     """
     times = [float(t) for t in times]
     if not times or times[0] < 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"times must be ascending from t >= 0, got {times}")
+    dim = liouv.basis.dim
+    if np.shape(rho0) != (dim, dim):
+        raise ValueError(
+            f"rho0 has shape {np.shape(rho0)}, but the Liouvillian of N = {liouv.basis.n_spins} "
+            f"acts on {dim} x {dim} density matrices"
+        )
     factors: dict = {}
     t, y = 0.0, vec(rho0)
     states = []
@@ -775,7 +743,7 @@ def propagate(
         if t_out > t:
             y = _exponential(liouv.matrix, y, t_out - t, rtol, atol, factors)
             t = t_out
-        states.append(unvec(y, liouv.basis.dim))
+        states.append(unvec(y, dim))
     return states
 
 
@@ -793,19 +761,14 @@ def evolve_rho(
     one banded LU, to ``t_end``.  The result is exactly Hermitian.  With
     the default tolerances the trace drifted by at most 2.5e-13 over 60
     random models and states (N from 2 to 30, t_end from 0.1 to 100).  A
-    ``rho0`` that is not Hermitian raises ``ValueError``.
+    ``rho0`` that is not Hermitian, or whose size does not match N (of
+    ``liouv`` if given, else of ``params``), raises ``ValueError``.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
-        raise ValueError(f"rho0 must be square, got shape {rho0.shape}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    dim = rho0.shape[0]
     if liouv is None:
-        if params.N is None or params.N + 1 != dim:
-            raise ValueError(
-                f"params.N={params.N} inconsistent with rho0 dimension {dim}"
-            )
+        if params.N is None:
+            raise ValueError("params.N must be set for quantum solvers")
         liouv = build_liouvillian(params, build_basis(params.N))
     return propagate(liouv, rho0, [float(t_end)], rtol, atol)[-1]
 

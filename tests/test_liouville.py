@@ -34,7 +34,7 @@ from dissipative_ising import (
     vec,
 )
 import dissipative_ising.liouville as liouville_module
-from dissipative_ising.liouville import _BandedLU, _band_order, _iterative_gap, _sector_solver, _sectors
+from dissipative_ising.liouville import _BandedLU, _band_order, _sector_solver, _sectors
 from dissipative_ising.meanfield import _dop853
 from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
 from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
@@ -75,6 +75,14 @@ def random_model(rng, n):
 
 def trace_distance(a, b):
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+def dense_gap(liouv):
+    """Test oracle: the gap from the eigenvalues of the whole dense matrix
+    above ``liouvillian_gap``'s zero threshold."""
+    vals = scipy.linalg.eigvals(liouv.matrix.toarray())
+    nonzero = vals[np.abs(vals) >= 1e-10 * max(liouv.scale, 1.0)]
+    return float(abs(nonzero.real.max()))
 
 
 class TestHamiltonian:
@@ -320,13 +328,12 @@ class TestGap:
             assert result.gap >= 0.0
             assert result.eigenvalues.real.max() <= 1e-8
 
-    def test_iterative_matches_dense(self):
-        # N = 20 takes the dense route; the iterative route is called directly
+    def test_iterative_matches_dense(self, monkeypatch):
+        # N = 20 would take the dense branch; the Arnoldi branch is forced
+        monkeypatch.setattr(liouville_module, "DENSE_N_MAX", 0)
         prm = ModelParams(V=-5, g=1, p=0, N=20)
         liouv = build_liouvillian(prm, build_basis(20))
-        dense = liouvillian_gap(liouv)
-        iterative = _iterative_gap(liouv)
-        assert dense.gap == pytest.approx(iterative.gap, rel=1e-6)
+        assert dense_gap(liouv) == pytest.approx(liouvillian_gap(liouv).gap, rel=1e-6)
         # and over a (p, g) grid: the Arnoldi pass on L^-1 returns the
         # modes nearest zero, so a slow mode far up the imaginary axis
         # can be missed (a gap off by O(0.1), always too large); where
@@ -337,8 +344,8 @@ class TestGap:
         for p in (0.0, 0.25, 0.5, 0.77, 1.0):
             for g in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
                 liouv = build_liouvillian(ModelParams(V=-5, g=g, p=p, N=20), basis)
-                dense = liouvillian_gap(liouv).gap
-                iterative = _iterative_gap(liouv).gap
+                dense = dense_gap(liouv)
+                iterative = liouvillian_gap(liouv).gap
                 if abs(iterative - dense) > 1e-3:
                     assert iterative > dense, (p, g)
                     missed.add((p, g))
@@ -374,17 +381,38 @@ class TestParitySectors:
             off_block = np.concatenate([dense[np.ix_(odd, ~odd)].ravel(), dense[np.ix_(~odd, odd)].ravel()])
             assert (np.abs(off_block).max() > 0.0) == coupled, p
 
-    def test_p0_gap_matches_dense(self):
-        # the rightmost mode here is in the odd sector
+    def test_p0_gap_matches_dense(self, monkeypatch):
+        # the rightmost mode here is in the odd sector; N = 30 would take
+        # the dense branch, and the Arnoldi branch is forced
+        monkeypatch.setattr(liouville_module, "DENSE_N_MAX", 0)
         liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=0, N=30), build_basis(30))
-        assert abs(_iterative_gap(liouv).gap - liouvillian_gap(liouv).gap) <= 1e-9
+        assert abs(liouvillian_gap(liouv).gap - dense_gap(liouv)) <= 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_gap_route_steady_state(self, p):
-        liouv = build_liouvillian(ModelParams(V=-5, g=1, p=p, N=40), build_basis(40))
-        spectral = liouvillian_gap(liouv)
-        assert np.abs(spectral.steady_state - steady_state(liouv).rho).max() <= 1e-12
-        assert spectral.zero_multiplicity == 1
+        # N = 20 on the dense branch, N = 40 on the Arnoldi branch
+        for n in (20, 40):
+            liouv = build_liouvillian(ModelParams(V=-5, g=1, p=p, N=n), build_basis(n))
+            spectral = liouvillian_gap(liouv)
+            assert np.abs(spectral.steady_state - steady_state(liouv).rho).max() <= 1e-12, n
+            assert spectral.zero_multiplicity == 1
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_sector_split_dense_spectrum(self, n):
+        # the two sectors' dense spectra together are the whole matrix's,
+        # within twice the first-order bound of TestRealForm
+        eps = np.finfo(float).eps
+        for g in (-3.0, 1.0):
+            liouv = build_liouvillian(ModelParams(V=-5, g=g, p=0, N=n), build_basis(n))
+            whole = liouv.matrix.toarray()
+            vals, left, right = scipy.linalg.eig(whole, left=True, right=True)
+            kappa = 1.0 / np.abs(np.einsum("ij,ij->j", left.conj(), right))
+            split = liouvillian_gap(liouv).eigenvalues
+            assert split.size == liouv.dim
+            distance = np.abs(split[:, None] - vals[None, :])
+            rows, cols = linear_sum_assignment(distance)
+            bound = 200.0 * kappa[cols] * eps * np.linalg.norm(whole)
+            assert np.all(distance[rows, cols] <= bound), (n, g, distance[rows, cols].max())
 
 
 def bordered_matrix(liouv):
@@ -457,7 +485,7 @@ class TestPinnedSolve:
         assert len(factors) == (2 if retried else 1)
         assert all(ref() is None for ref in factors)
         factors.clear()
-        _iterative_gap(liouv)
+        liouvillian_gap(liouv)
         assert len(factors) == (2 if retried else 1) + (p == 0.0)
 
 
@@ -465,10 +493,10 @@ class TestGapFailures:
     """A failed factorization or Arnoldi pass raises ``SolverError``
     naming its sector, and a sweep row records it; nothing is retried."""
 
-    N = liouville_module.DENSE_N_MAX + 1  # the smallest N on the iterative route
+    N = liouville_module.DENSE_N_MAX + 1  # the smallest N on the Arnoldi branch
 
-    def gap_rows(self, p):
-        grid = GridSpec(Axis("g", -3.0, -2.0, 2), None, ModelParams(V=-5, g=0, p=p, N=self.N))
+    def gap_rows(self, p, n=N):
+        grid = GridSpec(Axis("g", -3.0, -2.0, 2), None, ModelParams(V=-5, g=0, p=p, N=n))
         return phase_diagram(grid, solver="quantum", compute_gap=True)
 
     def test_arnoldi_failure(self, monkeypatch):
@@ -503,12 +531,14 @@ class TestGapFailures:
             return real_dgbtrf(band, kl, ku, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
-        for p, sector in ((0.0, "even sector"), (0.5, "whole space")):
-            liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=p, N=self.N), build_basis(self.N))
-            with pytest.raises(SolverError, match=sector):
-                liouvillian_gap(liouv)
-            for row in self.gap_rows(p):
-                assert row.error.startswith("SolverError") and sector in row.error
+        # the largest N on the dense branch and the smallest on the Arnoldi one
+        for n in (self.N - 1, self.N):
+            for p, sector in ((0.0, "even sector"), (0.5, "whole space")):
+                liouv = build_liouvillian(ModelParams(V=-5, g=-3, p=p, N=n), build_basis(n))
+                with pytest.raises(SolverError, match=sector):
+                    liouvillian_gap(liouv)
+                for row in self.gap_rows(p, n):
+                    assert row.error.startswith("SolverError") and sector in row.error, n
 
 
 class TestEvolveRho:
@@ -640,6 +670,21 @@ class TestPropagate:
         # the repeats change nothing downstream
         assert np.array_equal(states[4], propagate(liouv, rho0, [0.5, 1.0], 1e-10, 1e-12)[-1])
 
+    def test_rho0_size_must_match(self):
+        # an N = 5 Liouvillian acts on 6 x 6 density matrices; a 3 x 3 or
+        # 8 x 8 rho0 is rejected, at t = 0 too, and on evolve_rho's path
+        # with a given Liouvillian
+        prm = ModelParams(V=-5, g=1, p=0.5, N=5)
+        liouv = build_liouvillian(prm, build_basis(5))
+        for dim in (3, 8):
+            rho0 = np.eye(dim) / dim
+            message = rf"shape \({dim}, {dim}\).*6 x 6"
+            for times in ([1.0], [0.0]):
+                with pytest.raises(ValueError, match=message):
+                    propagate(liouv, rho0, times, 1e-10, 1e-12)
+            with pytest.raises(ValueError, match=message):
+                evolve_rho(rho0, prm, 1.0, liouv=liouv)
+
     def test_times_validation(self):
         basis = build_basis(2)
         liouv = build_liouvillian(ModelParams(V=1, g=1, p=0.5, N=2), basis)
@@ -710,7 +755,7 @@ class TestBandedLU:
         for p in (0.0, 0.6):
             liouv = build_liouvillian(ModelParams(V=-5.0, g=-1.0, p=p, N=50), build_basis(50))
             steady_state(liouv)
-            _iterative_gap(liouv)
+            liouvillian_gap(liouv)
         assert widths == {
             "pinned system of the whole space": (104, 104),
             "pinned system of the even sector": (54, 54),
