@@ -92,7 +92,9 @@ _SPHERE_TOL = 1e-8
 # Polynomial roots with |Im Z| and |Z| - 1 below this are real candidates;
 # Newton polishing and the residual test decide which of them are roots.
 _REAL_ROOT_TOL = 1e-6
-# Newton steps that polish each candidate root.
+# Newton steps that polish each candidate root.  Each inverts the 3x3
+# Jacobian in closed form; only Jacobians with |det J| <= 1e-10 ||J||_F^3
+# take a pseudo-inverse with rcond 1e-10 (see _polish).
 _POLISH_STEPS = 3
 # Integrator tolerances of settle and continuation_sweep.
 _SETTLE_RTOL, _SETTLE_ATOL = 1e-12, 1e-14
@@ -336,17 +338,21 @@ def _classify(states: np.ndarray, rows: _ParamRows, residuals) -> list[FixedPoin
     """
     eigs = np.linalg.eigvals(_jacobian_many(states, rows))
     eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, -eigs.real), axis=-1), axis=-1)
-    points = []
-    for state, row, max_re, residual in zip(states, eigs, eigs.real.max(axis=-1), residuals):
-        stable = bool(max_re < -STABILITY_TOL)
-        points.append(FixedPoint(
+    max_re = eigs.real.max(axis=-1)
+    stable = max_re < -STABILITY_TOL
+    marginal = ~stable & (max_re <= STABILITY_TOL)
+    complex_spectrum = eigs.imag.any(axis=-1)
+    return [
+        FixedPoint(
             state=state.copy(),
-            eigenvalues=row.copy() if row.imag.any() else row.real.copy(),
-            stable=stable,
-            marginal=(not stable) and bool(max_re <= STABILITY_TOL),
+            eigenvalues=row.copy() if cplx else row.real.copy(),
+            stable=s,
+            marginal=m,
             residual=float(residual),
-        ))
-    return points
+        )
+        for state, row, s, m, cplx, residual in zip(
+            states, eigs, stable.tolist(), marginal.tolist(), complex_spectrum.tolist(), residuals)
+    ]
 
 
 def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> FixedPoint:
@@ -564,15 +570,31 @@ def _polish(states: np.ndarray, rows: _ParamRows) -> tuple[np.ndarray, np.ndarra
     """Newton steps on the 3-vector system; the best iterate of each row.
 
     Row i is polished under the parameters of row i of ``rows``.
-    Returns the polished states and their max-abs residuals.  The
-    pseudo-inverse tolerates the singular Jacobians of marginal roots.
+    Returns the polished states and their max-abs residuals.  Each step
+    solves J d = f in closed form: the columns of J^-1 are r1 x r2,
+    r2 x r0 and r0 x r1 over det J, with r0, r1, r2 the rows of J.  A row
+    with |det J| <= 1e-10 ||J||_F^3 (the singular Jacobians of marginal
+    roots) takes the pseudo-inverse with rcond 1e-10 instead.  Since
+    |det J| <= s_max^2 s_min and ||J||_F >= s_max, every other row has
+    s_min > 1e-10 s_max, where the pseudo-inverse truncates nothing and
+    equals the inverse.
     """
+    rcond = 1e-10
     current = states
     f = _rhs_many(current, rows)
     best, best_res = states.copy(), np.abs(f).max(axis=1)
     for _ in range(_POLISH_STEPS):
-        pinv = np.linalg.pinv(_jacobian_many(current, rows), rcond=1e-10)
-        current = current - np.einsum("nij,nj->ni", pinv, f)
+        jac = _jacobian_many(current, rows)
+        # row k of adj is column k of det(J) J^-1
+        adj = np.cross(jac[:, [1, 2, 0]], jac[:, [2, 0, 1]])
+        det = np.einsum("ni,ni->n", jac[:, 0], adj[:, 0])
+        # written as "not above" so that a NaN Jacobian takes the pseudo-inverse too
+        singular = ~(np.abs(det) > rcond * np.sqrt(np.einsum("nij,nij->n", jac, jac)) ** 3)
+        step = np.einsum("nki,nk->ni", adj, f) / np.where(singular, 1.0, det)[:, None]
+        if singular.any():
+            step[singular] = np.einsum("nij,nj->ni", np.linalg.pinv(jac[singular], rcond=rcond),
+                                       f[singular])
+        current = current - step
         f = _rhs_many(current, rows)
         res = np.abs(f).max(axis=1)
         better = res < best_res
@@ -586,11 +608,14 @@ def find_fixed_points_many(params_seq) -> list[list[FixedPoint]]:
 
     The candidates of all cells are built together (the Z polynomials of
     all generic cells at once, their roots in one companion stack per
-    degree), then polished, deduplicated per cell and classified as
-    stacks with per-row parameters.  Rows do not depend on each other:
-    no operation reduces across them, so each cell's list is what a
-    pass over that cell alone returns, bit for bit.  An exception in
-    any cell raises from the whole pass.
+    degree), then polished by :func:`_polish`, deduplicated per cell
+    and classified as stacks with per-row parameters.  Deduplication
+    takes a cell's candidates in order: a later candidate within
+    ``DEDUP_TOL`` of a kept root replaces it only if its residual is
+    smaller, and is otherwise dropped.  Rows do not depend on each
+    other: no operation reduces across them, so each cell's list is
+    what a pass over that cell alone returns, bit for bit.  An
+    exception in any cell raises from the whole pass.
     """
     params_seq = list(params_seq)
     rows = _ParamRows.of(params_seq)
@@ -599,21 +624,23 @@ def find_fixed_points_many(params_seq) -> list[list[FixedPoint]]:
     cands, cell = cands[finite], cell[finite]
     states, res = _polish(cands, rows.take(cell))
     on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
-    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in params_seq]
-    for i in np.flatnonzero(on_sphere & (res <= ROOT_TOL)):
-        unique, st, r = found[cell[i]], states[i], res[i]
-        for k, (u_state, u_res) in enumerate(unique):
-            if np.linalg.norm(st - u_state) < DEDUP_TOL:
-                if r < u_res:
-                    unique[k] = (st, r)
+    keep = np.flatnonzero(on_sphere & (res <= ROOT_TOL))
+    kept, kept_res = states[keep].tolist(), res[keep].tolist()
+    # per cell, indices into keep of its distinct roots
+    found: list[list[int]] = [[] for _ in params_seq]
+    for j, (k, st, r) in enumerate(zip(cell[keep].tolist(), kept, kept_res)):
+        unique = found[k]
+        for m, u in enumerate(unique):
+            if math.dist(st, kept[u]) < DEDUP_TOL:
+                if r < kept_res[u]:
+                    unique[m] = j
                 break
         else:
-            unique.append((st, r))
+            unique.append(j)
 
     owner = [k for k, unique in enumerate(found) for _ in unique]
-    roots = [root for unique in found for root in unique]
-    points = _classify(np.array([st for st, _ in roots]).reshape(-1, 3), rows.take(owner),
-                       [r for _, r in roots])
+    roots = keep[[j for unique in found for j in unique]]
+    points = _classify(states[roots], rows.take(owner), res[roots])
     out: list[list[FixedPoint]] = [[] for _ in params_seq]
     for k, fp in zip(owner, points):
         out[k].append(fp)

@@ -346,6 +346,26 @@ def same_fixed_points(a, b) -> bool:
     )
 
 
+def pinv_polish(states, rows):
+    """The Newton polish with a pseudo-inverse (rcond 1e-10) at every step.
+
+    The reference for the closed-form step of ``meanfield._polish``, kept
+    here as dense ``eig`` is kept for the gap.
+    """
+    current = states
+    f = _rhs_many(current, rows)
+    best, best_res = states.copy(), np.abs(f).max(axis=1)
+    for _ in range(meanfield._POLISH_STEPS):
+        pinv = np.linalg.pinv(_jacobian_many(current, rows), rcond=1e-10)
+        current = current - np.einsum("nij,nj->ni", pinv, f)
+        f = _rhs_many(current, rows)
+        res = np.abs(f).max(axis=1)
+        better = res < best_res
+        best[better] = current[better]
+        best_res[better] = res[better]
+    return best, best_res
+
+
 class TestStackedSearch:
     """find_fixed_points_many against one-cell passes and numpy.polynomial."""
 
@@ -361,6 +381,12 @@ class TestStackedSearch:
         (0.0, 0.1, 0.25, 0.5, 0.77, 0.9, 1.0),
         (1.0, 8.0),
     )] + DEGREE_FOUR
+
+    # Jacobians singular at their roots, so that Newton steps there take the
+    # pseudo-inverse: the p = 1 equator roots (+/-0.97383, -0.22727, 0) at
+    # V = -5, g = -0.55, and the equator roots of four g = 0 cells
+    SINGULAR = [ModelParams(V=-5.0, g=-0.55, p=1.0)] + [
+        ModelParams(V=v, g=0.0, p=p) for v, p in ((-5.0, 0.055), (-5.0, 0.21), (-5.0, 0.535), (0.7, 0.0))]
 
     @staticmethod
     def numpy_polynomial(prm):
@@ -407,6 +433,73 @@ class TestStackedSearch:
         assert {fp.eigenvalues.dtype.kind for fp in fps} == {"f", "c"}
         assert any(fp.stable for fp in fps) and any(fp.marginal for fp in fps)
         assert any(not fp.stable and not fp.marginal for fp in fps)
+
+    def test_newton_step_matches_pinv_polish(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        edge = TestNewtonOracle.EDGE_P
+        cells = self.GRID + self.SINGULAR + [random_params(rng) for _ in range(2000)]
+        cells += [ModelParams(V=-5.0, g=-1.0, p=edge + dp) for dp in (-1e-6, -1e-9, 1e-9, 1e-6)]
+        rows = _ParamRows.of(cells)
+        cands, cell = meanfield._candidates(cells, rows)
+        finite = np.isfinite(cands).all(axis=1)
+        cands, rows = cands[finite], rows.take(cell[finite])
+
+        def accepted(states, res):
+            on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= meanfield._SPHERE_TOL
+            return on_sphere & (res <= ROOT_TOL)
+
+        ours, ours_res = meanfield._polish(cands, rows)
+        ref, ref_res = pinv_polish(cands, rows)
+        roots = accepted(ref, ref_res)
+        assert np.array_equal(accepted(ours, ours_res), roots)
+        assert np.abs(ours - ref)[roots].max() <= 1e-13
+
+        # the same roots, in the same order and with the same flags.  Two
+        # copies of a root whose Jacobian is nearly singular can tie in
+        # residual at rounding level, and deduplication may then keep the
+        # other copy: at V = 1.28, g = 0.45, p = 0.99981 (s_min 1.3e-4)
+        # the kept copies differ by 1.2e-13.
+        listed = find_fixed_points_many(cells)
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "_polish", pinv_polish)
+            reference = find_fixed_points_many(cells)
+        for prm, a, b in zip(cells, listed, reference):
+            assert [(fp.stable, fp.marginal) for fp in a] == [(fp.stable, fp.marginal) for fp in b], prm
+            assert all(np.abs(x.state - y.state).max() <= 1e-12 for x, y in zip(a, b)), prm
+
+        # the singular cells take the pseudo-inverse, a generic cell does not
+        pinv, taken = np.linalg.pinv, []
+        monkeypatch.setattr(np.linalg, "pinv", lambda a, rcond: taken.append(len(a)) or pinv(a, rcond))
+        for prm in self.SINGULAR + [ModelParams(V=-5.0, g=-1.0, p=0.5)]:
+            taken.clear()
+            one = _ParamRows.of([prm])
+            states, cell = meanfield._candidates([prm], one)
+            meanfield._polish(states, one.take(cell))
+            assert bool(taken) == (prm in self.SINGULAR), prm
+
+    def test_deduplication_rule(self, monkeypatch):
+        # candidates of one cell, taken in order: a later copy within
+        # DEDUP_TOL of the kept root replaces it only if its residual is
+        # smaller, and is measured against the root kept so far
+        a, b = (0.6, 0.0, 0.8), (0.6, 0.0, -0.8)
+        cands = [
+            (a, 5e-12),
+            ((0.6, 4e-7, 0.8), 1e-11),     # larger residual: a stays
+            (b, 3e-11),
+            ((0.6, 5e-7, 0.8), 1e-12),     # smaller residual: replaces a
+            ((0.6, 2e-6, -0.8), 4e-11),    # 2e-6 from b: a root of its own
+            ((0.6, 1.2e-6, 0.8), 5e-13),   # 7e-7 from the kept copy, 1.2e-6 from a
+            ((0.6, 3e-7, -0.8), 5e-11),    # larger residual: b stays
+            ((0.0, 1.0, 0.0), 2e-10),      # residual above ROOT_TOL: dropped
+        ]
+        states = np.array([st for st, _ in cands])
+        monkeypatch.setattr(meanfield, "_candidates",
+                            lambda params_seq, rows: (states, np.zeros(len(states), int)))
+        monkeypatch.setattr(meanfield, "_polish", lambda st, rows: (st, np.array([r for _, r in cands])))
+        assert math.dist(cands[5][0], a) > meanfield.DEDUP_TOL > math.dist(cands[5][0], cands[3][0])
+        fps = find_fixed_points_many([ModelParams(V=-5.0, g=-1.0, p=0.5)])[0]
+        listed = sorted((tuple(fp.state), fp.residual) for fp in fps)
+        assert listed == sorted([cands[5], cands[2], cands[4]])
 
     def test_classify_stability_is_the_stacked_classification(self):
         for prm, cell in zip(self.GRID, find_fixed_points_many(self.GRID)):
