@@ -21,7 +21,10 @@ antisymmetric splits the equation into
 with the real dissipator D(X) = (Gamma/2N)(2 J- X J+ - {J+ J-, X}), and
 the matrix of L in these coordinates is real.  It is Q^dag L_c Q for
 the unitary Q whose columns are the basis matrices, column-stacked, and
-L_c the complex Kronecker form, so the spectrum is that of L_c.
+L_c the complex Kronecker form, so the spectrum is that of L_c.  L is
+linear in Gamma/2N, (1-p)V/2N, (1-p)g, pV/2N and pg, so
+``build_liouvillian`` combines five unit couplings, built once for the
+latest N (``_couplings``).
 
 Eigenvalue conventions: the spectrum lies in the closed left half
 plane and is closed under conjugation; the eigenvector of the (unique,
@@ -60,6 +63,7 @@ coordinates make L a band matrix with half-bandwidths 2(N + 1) + 2
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,8 +100,13 @@ __all__ = [
 # The steady state comes from the pinned factor at every N.
 DENSE_N_MAX = 30
 GAP_K = 16
-# Krylov space of that Arnoldi pass, about six times the modes sought:
-# at N = 50, 64 to 96 vectors ran faster than 48 or 120.
+# Krylov space of that Arnoldi pass, about six times the modes sought.
+# On the banded LU, the 35 points of an N = 50, V = -5 gap grid (p in
+# linspace(0, 1, 5), g in linspace(-3, 3, 7)) took 1.9-2.0 s and 4 285
+# solves at 90 vectors, against 2.3 s and 5 172 at 64, 2.9-3.2 s and
+# 6 610 at 48, 3.1-3.7 s and 8 023 at 32, and 2.4-2.7 s and 5 218 at 120
+# (one BLAS thread, 2-core box); every gap stayed within 8.1e-14 of the
+# one at 90.
 _KRYLOV_DIM = 90
 # The one cap on N for every quantum solver and sweep.
 N_LIMIT = 200
@@ -129,6 +138,8 @@ _TARGET_FRACTION = 1e-2
 # (``_sector_solver``).  At N = 50, V = -5, g = -3, p = 0.75 the ratio
 # is 1.3e-5, and the gap computed with that pin moves by 1.4e-9.
 _PIN_RATIO = 1e-2
+# _BandedLU compacts a trimmed band this many columns at a time.
+_COMPACT_COLUMNS = 256
 _EPS = np.finfo(float).eps
 
 
@@ -205,7 +216,7 @@ def _unit_coordinates(dim: int):
     1/sqrt(2) on the sqrt(2) Re coordinate of the pair {a, b} and
     +-1/sqrt(2) on its sqrt(2) Im coordinate (+ above the diagonal).
     These weights are the columns of the isometries Ps and Pa that carry
-    real superoperators to coordinates (``build_liouvillian``).
+    real superoperators to coordinates (``_couplings``).
     """
     a, b = np.divmod(np.arange(dim * dim), dim)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -217,30 +228,43 @@ def _unit_coordinates(dim: int):
     return sym, anti
 
 
-def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatrix:
-    """Sparse real matrix of the Liouvillian on the coordinates of :func:`vec`.
+@dataclass(frozen=True)
+class _Couplings:
+    """The five unit couplings of L for one d on their union CSR pattern, and ``_band_order(d)``.
 
-    The dissipator D(X) = (Gamma/2N)(2 J- X J+ - {J+J-, X}) and the
-    commutator C(X) = [H, X] are real maps of real matrices.  Their
-    entries between matrix units are carried to coordinates through
-    the isometries of ``_unit_coordinates``, Ps onto the diagonal and
+    The rows of ``data`` hold the entries of D, C[Jx^2], C[Jz], C[Jz^2]
+    and C[Jx] in the pattern of ``indices`` and ``indptr``
+    (``build_liouvillian``).  The arrays are read-only, since the one
+    cached instance is shared.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    data: np.ndarray
+    order: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _couplings(dim: int) -> _Couplings:
+    """The unit couplings of L for d = ``dim`` (``_Couplings``); only the latest d is kept.
+
+    The dissipator D(X) = 2 J- X J+ - {J+J-, X} and each commutator
+    C_A(X) = [A, X] are real maps of real matrices.  Their entries
+    between matrix units are carried to coordinates through the
+    isometries of ``_unit_coordinates``, Ps onto the diagonal and
     sqrt(2) Re coordinates and Pa onto the sqrt(2) Im ones:
 
-        L = [[Ps^T D Ps,   Ps^T C Pa],
-             [-Pa^T C Ps,  Pa^T D Pa]].
+        D -> [[Ps^T D Ps, 0], [0, Pa^T D Pa]],
+        C[A] -> [[0, Ps^T C_A Pa], [-Pa^T C_A Ps, 0]].
+
+    Duplicates are summed, and entries that are zero in all five are
+    left out of the pattern.
     """
-    _require_matching_n(params, basis)
-    if params.N > N_LIMIT:
-        raise ValueError(
-            f"N={params.N} exceeds the supported maximum {N_LIMIT} "
-            f"(Liouvillian dimension would be {(params.N + 1) ** 2})"
-        )
-    dim = basis.dim
-    ham = build_hamiltonian(params, basis).real
+    basis = build_basis(dim - 1)
+    jx, _jy, jz = (op.real for op in op_cartesian(basis))
     jminus, _jplus = op_ladder(basis)
     lower = np.diagonal(jminus.real, -1)  # J-[k+1, k]
     k_diag = np.append(lower**2, 0.0)  # J+J- is diagonal
-    rate = params.Gamma / (2.0 * params.N)
     units = np.arange(dim * dim)
     a, b = np.divmod(units, dim)
     # (row unit, column unit, value) of D: X_ce feeds (c+1, e+1) through
@@ -249,35 +273,78 @@ def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatr
     dissipator = (
         np.concatenate([units, (c + 1) * dim + e + 1]),
         np.concatenate([units, c * dim + e]),
-        np.concatenate([-rate * (k_diag[a] + k_diag[b]), 2.0 * rate * lower[c] * lower[e]]),
+        np.concatenate([-(k_diag[a] + k_diag[b]), 2.0 * lower[c] * lower[e]]),
     )
-    # and of C: X_xt feeds (a, t) through H_ax, X_tx feeds (t, b) through -H_xb
-    h_row, h_col = np.nonzero(ham)
-    h_val = ham[h_row, h_col]
     t = np.arange(dim)
-    commutator = (
-        np.concatenate([(h_row[:, None] * dim + t).ravel(), (t[:, None] * dim + h_col).ravel()]),
-        np.concatenate([(h_col[:, None] * dim + t).ravel(), (t[:, None] * dim + h_row).ravel()]),
-        np.concatenate([np.repeat(h_val, dim), -np.tile(h_val, dim)]),
-    )
+
+    def commutator(op):
+        # X_xt feeds (a, t) through A_ax, X_tx feeds (t, b) through -A_xb
+        h_row, h_col = np.nonzero(op)
+        h_val = op[h_row, h_col]
+        return (
+            np.concatenate([(h_row[:, None] * dim + t).ravel(), (t[:, None] * dim + h_col).ravel()]),
+            np.concatenate([(h_col[:, None] * dim + t).ravel(), (t[:, None] * dim + h_row).ravel()]),
+            np.concatenate([np.repeat(h_val, dim), -np.tile(h_val, dim)]),
+        )
+
     sym, anti = _unit_coordinates(dim)
-    rows, cols, vals = [], [], []
-    for (r, col, v), (r_slot, r_w), (c_slot, c_w), sign in (
-        (dissipator, sym, sym, 1.0),
-        (dissipator, anti, anti, 1.0),
-        (commutator, sym, anti, 1.0),
-        (commutator, anti, sym, -1.0),
-    ):
-        keep = (r_slot[r] >= 0) & (c_slot[col] >= 0)
-        r, col, v = r[keep], col[keep], v[keep]
-        rows.append(r_slot[r])
-        cols.append(c_slot[col])
-        vals.append(sign * v * r_w[r] * c_w[col])
-    # duplicates are summed
-    lmat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim * dim, dim * dim),
-    )
+    blocks = [[(dissipator, sym, sym, 1.0), (dissipator, anti, anti, 1.0)]]
+    for op in (jx @ jx, jz, jz @ jz, jx):
+        comm = commutator(op)
+        blocks.append([(comm, sym, anti, 1.0), (comm, anti, sym, -1.0)])
+    rows, cols, vals, which = [], [], [], []
+    for i, coupling in enumerate(blocks):
+        for (r, col, v), (r_slot, r_w), (c_slot, c_w), sign in coupling:
+            keep = (r_slot[r] >= 0) & (c_slot[col] >= 0)
+            r, col, v = r[keep], col[keep], v[keep]
+            rows.append(r_slot[r])
+            cols.append(c_slot[col])
+            vals.append(sign * v * r_w[r] * c_w[col])
+            which.append(np.full(r.size, i))
+    n = dim * dim
+    pattern, slot = np.unique(np.concatenate(rows) * n + np.concatenate(cols), return_inverse=True)
+    data = np.bincount(np.concatenate(which) * pattern.size + slot, weights=np.concatenate(vals),
+                       minlength=len(blocks) * pattern.size).reshape(len(blocks), -1)
+    nonzero = data.any(axis=0)
+    row, col = np.divmod(pattern[nonzero], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    couplings = _Couplings(indices=col.astype(np.int32), indptr=indptr,
+                           data=np.ascontiguousarray(data[:, nonzero]), order=_band_order(dim))
+    for array in (couplings.indices, couplings.indptr, couplings.data, couplings.order):
+        array.flags.writeable = False
+    return couplings
+
+
+def build_liouvillian(params: ModelParams, basis: DickeBasis) -> LiouvillianMatrix:
+    """Sparse real matrix of the Liouvillian on the coordinates of :func:`vec`.
+
+    L is linear in five unit couplings (``_couplings``):
+
+        L = (Gamma/2N) D + (1-p)(V/2N) C[Jx^2] + (1-p) g C[Jz]
+            + p (V/2N) C[Jz^2] + p g C[Jx],
+
+    with D the dissipator at unit rate and C[A] the real form of
+    -i[A, .].  They are built once per N on one CSR pattern, so a build
+    is one product of the five coefficients with their entries, on
+    fresh copies of the pattern, and entries that come out exactly zero
+    are dropped; at p = 0 the couplings that cross the parity of j - k
+    have coefficient 0, so no entry links the two parity sectors.
+    """
+    _require_matching_n(params, basis)
+    if params.N > N_LIMIT:
+        raise ValueError(
+            f"N={params.N} exceeds the supported maximum {N_LIMIT} "
+            f"(Liouvillian dimension would be {(params.N + 1) ** 2})"
+        )
+    units = _couplings(basis.dim)
+    v, g, p, n = params.V, params.g, params.p, params.N
+    coef = np.array([params.Gamma / (2.0 * n), (1.0 - p) * v / (2.0 * n), (1.0 - p) * g,
+                     p * v / (2.0 * n), p * g])
+    size = basis.dim * basis.dim
+    # eliminate_zeros works in place, so the shared pattern is copied
+    lmat = sp.csr_matrix((coef @ units.data, units.indices.copy(), units.indptr.copy()),
+                         shape=(size, size))
     lmat.eliminate_zeros()
     return LiouvillianMatrix(matrix=lmat, basis=basis, params=params)
 
@@ -361,10 +428,20 @@ class _BandedLU:
     row pinned, or the odd block, for the steady state and the gap.  The
     band storage is written straight from the CSR in Fortran order, so
     that ``dgbtrf`` factors it in place; ``kl`` and ``ku`` are the
-    half-bandwidths measured from the nonzeros.  ``solve`` gathers the
-    right-hand side into ``order``, runs ``dgbtrs`` and scatters the
-    solution back.  A zero pivot raises ``SolverError`` naming the
-    matrix (``name``): no unchecked factor is kept.
+    half-bandwidths measured from the nonzeros.
+
+    ``dgbtrf`` leaves room for kl superdiagonals of fill above U's ku,
+    and row swaps fill them from the inside out.  The leading band rows
+    that stayed zero, up to ku of them, are dropped (``_drop_rows``), so
+    that ``dgbtrs`` sweeps only the superdiagonals U has.  On an N = 30
+    ramp at V = -5, g = -1 that is all 64 fill rows of I - gamma L at
+    p < 1 (33 of 61 at p = 1, where ku = 33); on the N = 50 gap grid
+    it is 1 to 58 of the 104 of the pinned whole-space factors.  The
+    skipped terms are products with zero, so the solutions are
+    bit-identical.  ``solve`` gathers the right-hand side into
+    ``order``, runs ``dgbtrs`` and scatters the solution back.  A zero
+    pivot raises ``SolverError`` naming the matrix (``name``): no
+    unchecked factor is kept.
     """
 
     def __init__(self, matrix: sp.csr_matrix, diagonal: np.ndarray, order: np.ndarray, name: str):
@@ -385,7 +462,7 @@ class _BandedLU:
                            weights=matrix.data, minlength=n * height)
         band = band.astype(float, copy=False).reshape(n, height).T
         band[self.kl + self.ku] += diagonal[order]
-        self.band, self.pivots, info = scipy.linalg.lapack.dgbtrf(
+        band, self.pivots, info = scipy.linalg.lapack.dgbtrf(
             band, self.kl, self.ku, overwrite_ab=1)
         if info > 0:
             raise SolverError(
@@ -393,13 +470,37 @@ class _BandedLU:
             )
         if info < 0:
             raise SolverError(f"dgbtrf rejected argument {-info}")
+        filled = np.flatnonzero(band[:self.ku].any(axis=1))
+        self.band = _drop_rows(band, int(filled[0]) if filled.size else self.ku)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        # the band keeps U's superdiagonals above its kl + 1 rows of diagonal
+        # and multipliers
         x, info = scipy.linalg.lapack.dgbtrs(
-            self.band, self.kl, self.ku, r[self.order], self.pivots, overwrite_b=1)
+            self.band, self.kl, self.band.shape[0] - 2 * self.kl - 1, r[self.order],
+            self.pivots, overwrite_b=1)
         if info:
             raise SolverError(f"dgbtrs rejected argument {-info}")
         return x[self.rank]
+
+
+def _drop_rows(band: np.ndarray, count: int) -> np.ndarray:
+    """``band[count:]`` as a Fortran-ordered array in ``band``'s own buffer.
+
+    Each column moves to its new place in the flat buffer, never past
+    its old one, ``_COMPACT_COLUMNS`` columns at a time: an overlapping
+    assignment buffers its source, so only that many columns are ever
+    copied at once, never a second band.
+    """
+    if not count:
+        return band
+    height, n = band.shape
+    kept = height - count
+    flat = band.T.reshape(-1)  # a view, since band is Fortran-ordered
+    for start in range(0, n, _COMPACT_COLUMNS):
+        stop = min(start + _COMPACT_COLUMNS, n)
+        flat[start * kept:stop * kept].reshape(stop - start, kept)[...] = band.T[start:stop, count:]
+    return flat[:n * kept].reshape(n, kept).T
 
 
 def _sectors(liouv: LiouvillianMatrix):
@@ -417,7 +518,7 @@ def _sectors(liouv: LiouvillianMatrix):
     whole space.
     """
     dim = liouv.basis.dim
-    order = _band_order(dim)
+    order = _couplings(dim).order
     if liouv.params.p != 0.0:
         return [("whole space", None, order, dim)]
     rows, cols = np.triu_indices(dim, 1)
@@ -548,7 +649,7 @@ def steady_state(liouv: LiouvillianMatrix) -> SteadyStateResult:
     positivity is warned about, not enforced.
     """
     dim = liouv.basis.dim
-    steady = _sector_solver(liouv.matrix, _band_order(dim), dim, liouv.scale, "whole space")[0]
+    steady = _sector_solver(liouv.matrix, _couplings(dim).order, dim, liouv.scale, "whole space")[0]
     rho, residual = _steady_solution(steady, None, liouv)
     return SteadyStateResult(rho=rho, residual=residual, zero_multiplicity=1)
 
@@ -696,7 +797,7 @@ def _exponential(matrix: sp.csr_matrix, y: np.ndarray, dt: float, rtol: float, a
     gamma = _SHIFT_FRACTION * length
     if length not in factors:
         n = matrix.shape[0]
-        factors[length] = _BandedLU(-gamma * matrix, np.ones(n), _band_order(math.isqrt(n)),
+        factors[length] = _BandedLU(-gamma * matrix, np.ones(n), _couplings(math.isqrt(n)).order,
                                     "I - gamma L")
     if factors[length] is not None:
         y_end = _krylov_exponential(factors[length], gamma, y, dt, rtol, atol)
@@ -806,20 +907,16 @@ def ramped_evolution(
     Each schedule entry is (params, window); the density matrix is
     evolved under each parameter set for its window and the
     magnetization at the window end is recorded.  Used for finite-size
-    hysteresis loops; all entries must share the same N.
+    hysteresis loops; all entries must share the same N.  A ``rho0`` whose
+    size does not match that N raises ``ValueError`` (``propagate``).
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
     n_values = {p.N for p, _w in schedule}
     if len(n_values) != 1 or None in n_values:
         raise ValueError(f"all schedule entries must share one N, got {n_values}")
-    n = schedule[0][0].N
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != (n + 1, n + 1):
-        raise ValueError(
-            f"rho0 shape {rho.shape} does not match N={n} (expected {(n + 1, n + 1)})"
-        )
-    basis = build_basis(n)
+    basis = build_basis(schedule[0][0].N)
+    rho = rho0
     out: list[tuple[ModelParams, np.ndarray]] = []
     for params, window in schedule:
         if window <= 0.0:

@@ -37,7 +37,7 @@ import dissipative_ising.liouville as liouville_module
 from dissipative_ising.liouville import _BandedLU, _band_order, _sector_solver, _sectors
 from dissipative_ising.meanfield import _dop853
 from dissipative_ising.sweep import Axis, GridSpec, phase_diagram
-from reference_ops import complex_liouvillian, hermitian_basis, lindblad_rhs
+from reference_ops import assembled_liouvillian, complex_liouvillian, hermitian_basis, lindblad_rhs
 
 # (N, p, g, V) on which the real form and the steady state are checked
 FORM_GRID = [
@@ -167,6 +167,31 @@ class TestLiouvillianMatrix:
         a = np.sort_complex(np.round(vals, 8))
         b = np.sort_complex(np.round(vals.conj(), 8))
         assert np.allclose(a, b, atol=1e-7)
+
+    # (V, g, p, Gamma): generic, both p = 0 and p = 1, g = 0, V = 0 and
+    # rates other than 1
+    ASSEMBLY_MODELS = [(-5.0, -1.0, 0.6, 1.0), (-5.0, -3.0, 0.0, 1.0), (-5.0, 1.0, 1.0, 1.0),
+                       (-5.0, 0.0, 0.3, 0.6), (0.0, 0.5, 0.77, 2.5), (2.0, 0.3, 0.0, 1.7),
+                       (0.0, 0.0, 1.0, 1.3), (-1.0, 0.0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
+    def test_cached_couplings_match_assembly_oracle(self, n):
+        # oracle: the real form assembled entry by entry for each model;
+        # the combination of the cached unit couplings rounds differently,
+        # so agreement is to a few eps of the largest entry, with the same
+        # band, and at p = 0 no stored entry links the parity sectors
+        basis = build_basis(n)
+        for v, g, p, gamma in self.ASSEMBLY_MODELS:
+            liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, Gamma=gamma, N=n), basis)
+            oracle = assembled_liouvillian(liouv.params, basis)
+            assert abs(liouv.matrix - oracle).max() <= 8 * np.finfo(float).eps * liouv.scale
+            order, ones = _band_order(basis.dim), np.ones(liouv.dim)
+            got = _BandedLU(-0.5 * liouv.matrix, ones, order, "I - gamma L")
+            want = _BandedLU(-0.5 * oracle, ones, order, "I - gamma L")
+            assert (got.kl, got.ku) == (want.kl, want.ku)
+            if p == 0.0:
+                (_, even, _, _), (_, odd, _, _) = _sectors(liouv)
+                assert liouv.matrix[even][:, odd].nnz == 0 and liouv.matrix[odd][:, even].nnz == 0
 
 
 class TestRealForm:
@@ -672,8 +697,8 @@ class TestPropagate:
 
     def test_rho0_size_must_match(self):
         # an N = 5 Liouvillian acts on 6 x 6 density matrices; a 3 x 3 or
-        # 8 x 8 rho0 is rejected, at t = 0 too, and on evolve_rho's path
-        # with a given Liouvillian
+        # 8 x 8 rho0 is rejected, at t = 0 too, and on the paths of
+        # evolve_rho with a given Liouvillian and of ramped_evolution
         prm = ModelParams(V=-5, g=1, p=0.5, N=5)
         liouv = build_liouvillian(prm, build_basis(5))
         for dim in (3, 8):
@@ -684,6 +709,8 @@ class TestPropagate:
                     propagate(liouv, rho0, times, 1e-10, 1e-12)
             with pytest.raises(ValueError, match=message):
                 evolve_rho(rho0, prm, 1.0, liouv=liouv)
+            with pytest.raises(ValueError, match=message):
+                ramped_evolution(rho0, [(prm, 1.0)])
 
     def test_times_validation(self):
         basis = build_basis(2)
@@ -771,6 +798,43 @@ class TestBandedLU:
             ref = spsolve((sp.identity(matrix.shape[0], format="csc") - gamma * matrix).tocsc(), rhs)
             got = self.shifted(matrix, gamma).solve(rhs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 30])
+    @pytest.mark.parametrize("v,g,p", [(-5.0, -1.0, 0.6), (-5.0, -1.0, 0.0), (-5.0, -3.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_trimmed_band_solves_bit_identically(self, monkeypatch, n, v, g, p):
+        # every factor, propagation's and the pinned ones of the steady
+        # state and the gap, keeps dgbtrf's buffer without the leading rows
+        # that stayed zero; dgbtrs on an untrimmed copy of the same
+        # factorization, taken before the trim, is the oracle
+        dgbtrf = scipy.linalg.lapack.dgbtrf
+        factored, factors = [], []
+
+        def recording_dgbtrf(band, kl, ku, overwrite_ab):
+            lu, pivots, info = dgbtrf(band, kl, ku, overwrite_ab=overwrite_ab)
+            factored.append((lu, lu.copy(order="F")))
+            return lu, pivots, info
+
+        def recording_factor(*args):
+            factors.append(_BandedLU(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", recording_dgbtrf)
+        monkeypatch.setattr(liouville_module, "_BandedLU", recording_factor)
+        liouv = build_liouvillian(ModelParams(V=v, g=g, p=p, N=n), build_basis(n))
+        steady_state(liouv)
+        liouvillian_gap(liouv)
+        factors.extend(self.shifted(liouv.matrix, gamma) for gamma in (0.01, 0.8, 20.0))
+        assert len(factors) == len(factored)
+        rng = np.random.default_rng(n)
+        for factor, (lu, untrimmed) in zip(factors, factored):
+            kl, ku = factor.kl, factor.ku
+            dropped = untrimmed.shape[0] - factor.band.shape[0]
+            assert untrimmed.shape[0] == 2 * kl + ku + 1 and 0 <= dropped <= ku
+            assert not untrimmed[:dropped].any() and (dropped == ku or untrimmed[dropped].any())
+            assert np.shares_memory(factor.band, lu) and factor.band.flags.f_contiguous
+            rhs = rng.normal(size=factor.order.size)
+            ref, info = scipy.linalg.lapack.dgbtrs(untrimmed, kl, ku, rhs[factor.order], factor.pivots)
+            assert info == 0 and np.array_equal(factor.solve(rhs), ref[factor.rank])
 
     def test_zero_column_raises(self):
         # column 3 of I - gamma M is e_3 - gamma M[:, 3] = 0
