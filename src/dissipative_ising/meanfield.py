@@ -48,6 +48,8 @@ Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,6 +113,11 @@ _STEP_CONTROL_BETA = 0.04
 # An end of an orbit's arc in the unit disk is an equator root when the
 # orbit's first integral there is within this relative distance of its own.
 _SEPARATRIX_TOL = 1e-9
+# Margin theta < 1 of the capture level c = theta^2 / (4 Psi_bar^2); see
+# _capture_region.
+_CAPTURE_THETA = 0.9
+# Squares per cube-face edge of the direction grid of _quadratic_bound.
+_DIRECTION_GRID_N = 16
 
 
 @dataclass(frozen=True)
@@ -211,38 +218,48 @@ class ContinuationPoint:
     residual: float
 
 
-def _flow(x, y, z, params: ModelParams | _ParamRows):
-    """The three Bloch components; x, y, z are floats or equal-shape arrays.
+def _flow_of(params: ModelParams | _ParamRows):
+    """The Bloch flow (x, y, z) -> (fx, fy, fz) of ``params``, its coefficients computed once.
 
-    With ``_ParamRows`` the parameters are arrays of that shape too.
+    x, y, z are floats or equal-shape arrays; with ``_ParamRows`` the
+    parameters are arrays of that shape too.  Each coefficient is the
+    product that the written-out equations form first, so the flow
+    applies the same IEEE operations in the same order on every call.
     """
     v, g, p, gam = params.V, params.g, params.p, params.Gamma
-    fx = -p * (v / 2.0) * y * z - (1.0 - p) * g * y + (gam / 8.0) * x * z
-    fy = (
-        p * ((v / 2.0) * x * z - g * z)
-        + (1.0 - p) * (g * x - (v / 2.0) * x * z)
-        + (gam / 8.0) * y * z
-    )
-    fz = p * g * y + (1.0 - p) * (v / 2.0) * x * y - (gam / 8.0) * (1.0 - z * z)
-    return fx, fy, fz
+    half_v, q, c = v / 2.0, 1.0 - p, gam / 8.0
+    a, b, pg, q_half_v = -p * half_v, q * g, p * g, q * half_v
+
+    def flow(x, y, z):
+        hxz = half_v * x * z
+        return (
+            a * y * z - b * y + c * x * z,
+            p * (hxz - g * z) + q * (g * x - hxz) + c * y * z,
+            pg * y + q_half_v * x * y - c * (1.0 - z * z),
+        )
+
+    return flow
 
 
 def _rhs_many(states: np.ndarray, params: ModelParams | _ParamRows) -> np.ndarray:
     """Bloch right-hand side for a stack of states, shape (n, 3)."""
-    return np.stack(_flow(states[..., 0], states[..., 1], states[..., 2], params), axis=-1)
+    return np.stack(_flow_of(params)(states[..., 0], states[..., 1], states[..., 2]), axis=-1)
 
 
 def _ode_rhs(params: ModelParams):
     """Right-hand side ``f(t, y)`` for the integrators.
 
-    It evaluates :func:`_flow` on Python floats, which is several times
-    cheaper per call than :func:`_rhs_many` on a one-row stack and gives
-    the same floats: both apply the same IEEE operations in the same
-    order.
+    It evaluates the closure of :func:`_flow_of`, its coefficients
+    computed once per run, on Python floats: 0.50 us a call against
+    0.80 us with the parameters looked up and combined on each call (one
+    core of a 2-core x86 box), and the same floats as :func:`_rhs_many`
+    on a one-row stack, since both apply the same IEEE operations in the
+    same order.
     """
+    flow = _flow_of(params)
 
     def rhs(_t, state):
-        return _flow(*state.tolist(), params)
+        return flow(*state.tolist())
 
     return rhs
 
@@ -1031,36 +1048,198 @@ def integrate_trajectory(
     return Trajectory(times=sol.t, states=sol.y.T.copy(), params=params)
 
 
+@functools.cache
+def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The half-sphere directions of :func:`_quadratic_bound` and their covering radius.
+
+    The directions are the centres of an n x n grid of squares on each of
+    the faces x = 1, y = 1 and z = 1 of the cube [-1, 1]^3, projected
+    onto the unit sphere.  Every unit vector or its antipode is the
+    projection of a point of one of these faces, and that point lies
+    within sqrt(2)/n of a centre.  Outside the unit ball x -> x/|x| is
+    the nearest-point map onto it, which is 1-Lipschitz, so every unit
+    vector or its antipode lies within the chordal distance r = sqrt(2)/n
+    of a direction.
+
+    Returns (directions, quadratic monomials, cubic monomials, sum2, sum3,
+    r): the monomials v_a v_b (a <= b) and v_a v_b v_c (a <= b <= c) of
+    each direction, and the 0/1 matrices that sum a flattened 3 x 3 or
+    3 x 3 x 3 tensor onto them, so that the form sum A_abc v_a v_b v_c
+    over all directions is cubic @ (A.ravel() @ sum3).  Built on first
+    use: n = 16 gives 768 directions, 120 kB.
+    """
+    n = _DIRECTION_GRID_N
+    centres = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    a, b = (c.ravel() for c in np.meshgrid(centres, centres, indexing="ij"))
+    one = np.ones_like(a)
+    dirs = np.concatenate([np.column_stack(face) for face in ((one, a, b), (a, one, b), (a, b, one))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    out = []
+    for degree in (2, 3):
+        monomials = list(itertools.combinations_with_replacement(range(3), degree))
+        columns = np.column_stack([np.prod(dirs[:, list(m)], axis=1) for m in monomials])
+        summing = np.zeros((3 ** degree, len(monomials)))
+        for flat, index in enumerate(itertools.product(range(3), repeat=degree)):
+            summing[flat, monomials.index(tuple(sorted(index)))] = 1.0
+        out.append((columns, summing))
+    (quadratic, sum2), (cubic, sum3) = out
+    return dirs, quadratic, cubic, sum2, sum3, math.sqrt(2.0) / n
+
+
+def _quadratic_bound(lyap: np.ndarray, hess: np.ndarray) -> float:
+    """Certified upper bound of Psi = max over unit u of u^T P q(u) / sqrt(u^T P u).
+
+    q(u) = (u^T H_i u / 2)_i over the Hessians H_i of the flow's three
+    components, and P = ``lyap`` is positive definite.  N(u) = u^T P q(u)
+    is the cubic form T(u, u, u) of the symmetrized tensor of
+    K_abc = (P H_(.)bc / 2)_a, and D(u) = sqrt(u^T P u) is a norm, so
+    convex.  N is odd and D even, so Psi is the largest |N| / D, and the
+    directions v of :func:`_direction_grid` with their antipodes come
+    within r of every unit vector.  For a unit u = v + d, |d| <= r:
+
+        N(u) = N(v) + grad N(v).d + 3 T(v, d, d) + T(d, d, d)   (N is cubic)
+        D(u) >= D(v) + grad D(v).d                              (D is convex)
+        v.d = -|d|^2 / 2                                        (|u| = |v| = 1)
+
+    with grad N(v).v = 3 N(v) and grad D(v).v = D(v).  So for s = +-1,
+    psi0 the largest |N| / D on the grid and any Psi_hat >= psi0,
+
+        s N(u) - Psi_hat D(u) <= A - (Psi_hat - psi0) S,
+        A = s N - psi0 D + |a_perp| r + |3 s N - psi0 D| r^2 / 2
+            + 3 |T(v, ., .)|_F r^2 + |T|_F r^3,
+        S = D - |grad_perp D| r - D r^2 / 2,
+
+    all at v, with a = s grad N - psi0 grad D and _perp the part normal
+    to v.  Where every S is positive, Psi_hat = psi0 + max(0, A / S)
+    over the directions and both signs makes every right-hand side <= 0,
+    so Psi <= Psi_hat, which is returned; elsewhere inf.  The remainder
+    is second order in r and grows with cond P: the bound exceeds the
+    largest |N| / D of 4e5 random directions by at most 6 % at the
+    stable points of the benchmark's V = -1 slice (cond P <= 7), but
+    8.4 times at the south pole of V = -5, g = 0, p = 0 (cond P = 400).
+    """
+    _dirs, quadratic, cubic, sum2, sum3, r = _direction_grid()
+    half = 0.5 * (lyap @ hess.reshape(3, 9))
+    k = half.reshape(3, 3, 3)
+    sym = ((k + k.transpose(1, 0, 2) + k.transpose(1, 2, 0)) / 3.0).reshape(3, 9)
+    gram = sym @ sym.T  # |T(v, ., .)|_F^2 = v^T gram v
+    # per direction: grad N (grad N_j = 3 T(e_j, v, v)), |T(v, ., .)|_F^2,
+    # D^2 and |P v|^2 as quadratic forms; N and grad N . P v as cubic ones
+    quad = quadratic @ (np.vstack([3.0 * sym, gram.ravel(), lyap.ravel(), (lyap @ lyap).ravel()])
+                        @ sum2).T
+    cubic_forms = cubic @ (np.vstack([half.ravel(), 3.0 * (lyap @ sym).ravel()]) @ sum3).T
+    grad_n, d2 = quad[:, :3], quad[:, 4]
+    n, n_pv = cubic_forms[:, 0], cubic_forms[:, 1]
+    d = np.sqrt(d2)
+    psi0 = float(np.max(np.abs(n) / d))
+    # |grad_perp N|^2, |grad_perp D|^2 and their dot product, grad D = P v / D
+    nn = np.maximum(np.einsum("ni,ni->n", grad_n, grad_n) - 9.0 * n * n, 0.0)
+    dd = np.maximum(quad[:, 5] / d2 - d2, 0.0)
+    nd = n_pv / d - 3.0 * n * d
+    slope = d - r * np.sqrt(dd) - (r * r / 2.0) * d
+    if not (slope > 0.0).all():
+        return math.inf
+    pd = psi0 * d
+    rest = (3.0 * r * r) * np.sqrt(np.maximum(quad[:, 3], 0.0)) + math.sqrt(np.trace(gram)) * r ** 3 - pd
+    base, cross = nn + (psi0 * psi0) * dd, (2.0 * psi0) * nd
+    worst = 0.0
+    for sign in (1.0, -1.0):
+        sn = sign * n
+        a_perp = np.sqrt(np.maximum(base - sign * cross, 0.0))
+        excess = sn + r * a_perp + (r * r / 2.0) * np.abs(3.0 * sn - pd) + rest
+        worst = max(worst, float(np.max(excess / slope)))
+    return psi0 + worst
+
+
 def _capture_region(fp: FixedPoint, params: ModelParams) -> tuple[np.ndarray, float] | None:
     """Certified capture region {e^T P e < c}, e = s - x*, of a stable point x*.
 
     P solves J^T P + P J = -I with J the Jacobian at x*.  The flow is
-    quadratic, so f(x* + e) = J e + q(e) exactly (up to the root's
-    residual), with |q(e)| <= C |e|^2 and C = sqrt(sum_i ||H_i||^2) / 2
-    over the constant Hessians H_i of the three components.  Then
-    d(e^T P e)/dt <= -|e|^2 (1 - 2 ||P|| C |e|) < 0 for 0 < |e| < rho =
-    1 / (2 ||P|| C), and the sublevel set with c = lambda_min(P) rho^2
-    lies in that ball: it is invariant, and every trajectory in it ends
-    at x* (the quadratic-Lyapunov estimate of the region of attraction;
-    Khalil, Nonlinear Systems, 3rd ed., 2002).  c carries a safety
-    factor of 1/2 for the root residual.  Returns (P, c), or None where
-    P is not numerically positive definite.
+    quadratic, so f(x* + e) = f(x*) + J e + q(e) exactly, with
+    q(e) = (e^T H_i e / 2)_i over the constant Hessians H_i of the three
+    components.  With V(e) = e^T P e and e = s u, |u| = 1,
+
+        dV/dt = -s^2 + 2 s^3 u^T P q(u) + 2 s u^T P f(x*).
+
+    Let Psi_bar >= Psi = max over unit u of u^T P q(u) / sqrt(u^T P u)
+    (:func:`_quadratic_bound`) and c = theta^2 / (4 Psi_bar^2) with
+    theta = ``_CAPTURE_THETA`` < 1, the quadratic-Lyapunov estimate of
+    the region of attraction (Khalil, Nonlinear Systems, 3rd ed., 2002).
+    Where V <= c, 2 s^3 u^T P q(u) <= 2 s^2 Psi_bar sqrt(V) <= theta s^2,
+    so
+
+        dV/dt <= -(1 - theta) s^2 + 2 s ||P|| |f(x*)|,
+
+    negative once s > s0 = 2 ||P|| |f(x*)| / (1 - theta).  Each
+    ellipsoid V <= c' with lambda_max(P) s0^2 <= c' <= c is entered and
+    never left; being compact and convex, it holds a root x^ of the
+    flow, so |x^ - x*| <= sqrt(cond P) s0.  About x^ the residual term
+    vanishes and J moves by at most 2 C |x^ - x*| (C as below), which
+    the margin 1 - theta absorbs as well: x^ attracts the small
+    ellipsoids, so every trajectory in the region ends at x^.  On the
+    boundary, where s >= sqrt(c / lambda_max(P)), the margin must exceed
+    the residual's share 2 ||P|| |f(x*)| sqrt(lambda_max(P) / c).  The
+    root's residual is at most ROOT_TOL, but at that bound the share
+    would reach 118 at the weakly damped south pole of fig1_p0 just past
+    g+ = 2.4937, where ||P|| = 2.7e4.  So it is taken from the root's
+    own max-abs residual plus the rounding of f at x*, |f(x*)| <=
+    sqrt(3) (residual + 8 eps (|V| + |g| + Gamma)); the share is then at
+    most 0.009 on the shipped grids, and a region whose share reaches
+    1 - theta = 0.1 is not returned.  The rest of the margin covers the
+    rounding of the bound and of the tested states.
+
+    Psi_bar is also capped at ||P|| C / sqrt(lambda_min(P)), with
+    C = sqrt(sum_i ||H_i||^2) / 2 >= |q(u)|, the norm bound the level was
+    once built from: c = lambda_min(P) rho^2 / 2 with rho = 1 / (2 ||P|| C).
+    At the cap c is 2 theta^2 > 1 times that level, so c never falls
+    below it.  Returns (P, c), or None where P is not numerically
+    positive definite or the margin does not cover the residual.
     """
-    jac_t, eye = jacobian(fp.state, params).T, np.eye(3)
-    # J^T P + P J = -I as a 9x9 system in the row-major vec(P); scipy's
+    # J is affine in the state: its change along each unit vector gives
+    # the Hessians, hess[i][j, k] = d^2 f_i / dx_j dx_k
+    jacs = _jacobian_many(np.vstack([fp.state, np.zeros(3), np.eye(3)]), params)
+    jac_t, eye = jacs[0].T, np.eye(3)
+    # J^T P + P J = -I as a 9x9 system in the row-major vec(P), the sum of
+    # the Kronecker products J^T x I and I x J^T; scipy's
     # solve_continuous_lyapunov would add 1.4 MB to the peak memory
-    lyap = np.linalg.solve(np.kron(jac_t, eye) + np.kron(eye, jac_t), -eye.ravel()).reshape(3, 3)
+    kron_sum = (jac_t[:, None, :, None] * eye[None, :, None, :]
+                + eye[:, None, :, None] * jac_t[None, :, None, :])
+    lyap = np.linalg.solve(kron_sum.reshape(9, 9), -eye.ravel()).reshape(3, 3)
     lyap = 0.5 * (lyap + lyap.T)
     eigs = np.linalg.eigvalsh(lyap)
     if not (np.isfinite(eigs).all() and eigs[0] > 0.0):
         return None
-    # J is affine in the state: its change along each unit vector gives
-    # the Hessians, hess[i][j, k] = d^2 f_i / dx_j dx_k
-    origin = _jacobian_many(np.zeros((1, 3)), params)
-    hess = np.transpose(_jacobian_many(np.eye(3), params) - origin, (1, 2, 0))
-    c_quad = 0.5 * math.sqrt(float((np.linalg.norm(hess, ord=2, axis=(1, 2)) ** 2).sum()))
-    rho = 1.0 / (2.0 * eigs[-1] * c_quad)
-    return lyap, 0.5 * eigs[0] * rho * rho
+    hess = np.transpose(jacs[2:] - jacs[1], (1, 2, 0))
+    # the Hessians are symmetric: their 2-norms are their largest |eigenvalue|
+    c_quad = 0.5 * math.sqrt(float((np.abs(np.linalg.eigvalsh(hess)).max(axis=1) ** 2).sum()))
+    psi = min(_quadratic_bound(lyap, hess), eigs[-1] * c_quad / math.sqrt(eigs[0]))
+    level = (_CAPTURE_THETA / (2.0 * psi)) ** 2
+    rounding = 8.0 * np.finfo(float).eps * (abs(params.V) + abs(params.g) + params.Gamma)
+    residual = math.sqrt(3.0) * (fp.residual + rounding)
+    if 2.0 * eigs[-1] * residual * math.sqrt(eigs[-1] / level) >= 1.0 - _CAPTURE_THETA:
+        return None
+    return lyap, level
+
+
+class _Capture(tuple):
+    """The capture regions of :func:`settle`, built by :func:`_capture`.
+
+    One entry per region: (point, X*, Y*, Z*, P00, P11, P22, 2 P01,
+    2 P02, 2 P12, level), all but the point as Python floats, so that
+    the test at each step runs on floats.
+    """
+
+
+def _capture(points, params: ModelParams) -> _Capture:
+    """The capture regions of the stable ``points`` of ``params``, for :func:`settle`."""
+    regions = []
+    for fp in points:
+        region = _capture_region(fp, params)
+        if region is not None:
+            (p00, p01, p02), (_, p11, p12), (_, _, p22) = region[0].tolist()
+            regions.append((fp, *fp.state.tolist(), p00, p11, p22,
+                            2.0 * p01, 2.0 * p02, 2.0 * p12, region[1]))
+    return _Capture(regions)
 
 
 def settle(
@@ -1078,20 +1257,23 @@ def settle(
     of them (see :func:`_capture_region`), the integration stops there
     and that point's ``state`` is returned as the endpoint: the flow
     provably ends at it.  The region is invariant, so the test at the
-    end of each accepted step finds the entry.  Trajectories that enter
-    no region give the same endpoint as without ``capture``.
+    end of each accepted step finds the entry; it evaluates each region's
+    quadratic form on Python floats.  Trajectories that enter no region
+    give the same endpoint as without ``capture``.  A caller that settles
+    in several windows passes the regions built once by :func:`_capture`
+    instead of the points.
     """
     if settle_time <= 0.0:
         raise ValueError(f"settle_time must be positive, got {settle_time}")
     initial = np.asarray(initial, dtype=float)
-    regions = [(fp, region) for fp in capture
-               if (region := _capture_region(fp, params)) is not None]
+    regions = capture if isinstance(capture, _Capture) else _capture(capture, params)
     captured = []
 
     def entered(state) -> bool:
-        for fp, (lyap, level) in regions:
-            e = state - fp.state
-            if float(e @ lyap @ e) < level:
+        x, y, z = state.tolist()
+        for fp, x0, y0, z0, p00, p11, p22, p01, p02, p12, level in regions:
+            ex, ey, ez = x - x0, y - y0, z - z0
+            if ex * (p00 * ex + p01 * ey + p02 * ez) + ey * (p11 * ey + p12 * ez) + p22 * ez * ez < level:
                 captured.append(fp)
                 return True
         return False

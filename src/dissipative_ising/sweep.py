@@ -34,6 +34,7 @@ from .liouville import (
 from .meanfield import (
     FixedPoint,
     ModelParams,
+    _capture,
     bloch_rhs,
     continuation_sweep,
     detect_limit_cycle,
@@ -176,9 +177,9 @@ def _select_branch(params: ModelParams, stable: list[FixedPoint]):
         z = _nearest_stable_z(orbit.point, stable)
         if z is not None:
             return z, False, None
-    end = SOUTH_POLE_SEED
+    end, capture = SOUTH_POLE_SEED, _capture(stable, params)
     for _ in range(4):
-        end = settle(end, params, SETTLE_WINDOW, capture=stable)
+        end = settle(end, params, SETTLE_WINDOW, capture=capture)
         if float(np.abs(bloch_rhs(end, params)).max()) < 1e-8:
             break
     else:

@@ -8,6 +8,10 @@ lines p = 1 and g = 0, which it decides in closed form, the library
 (``sweep._select_branch``) differs from this only by capture: it stops
 settling as soon as the trajectory enters the certified capture region
 of a stable point.  The tests compare the two.
+
+``norm_bound_level`` is the level of that region as it was first built,
+from norm bounds alone; the tests check that today's level never falls
+below it.
 """
 
 from __future__ import annotations
@@ -15,9 +19,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from dissipative_ising.errors import InsufficientDataError
-from dissipative_ising.meanfield import FixedPoint, ModelParams, bloch_rhs, find_fixed_points, settle
+from dissipative_ising.meanfield import (
+    FixedPoint,
+    ModelParams,
+    _jacobian_many,
+    bloch_rhs,
+    find_fixed_points,
+    jacobian,
+    settle,
+)
 from dissipative_ising.sweep import SOUTH_POLE_SEED, _detect_cycle_from
 
 
@@ -55,3 +68,23 @@ def oracle_row(params: ModelParams, settle_time: float = 200.0):
         except InsufficientDataError as exc:
             error = f"{type(exc).__name__}: {exc}"
     return len(stable), selected_z, limit_cycle, error
+
+
+def norm_bound_level(fp: FixedPoint, params: ModelParams) -> float:
+    """Capture level lambda_min(P) rho^2 / 2, rho = 1 / (2 ||P|| C), of a stable point.
+
+    P solves J^T P + P J = -I (here through scipy's Lyapunov solver), and
+    C = sqrt(sum_i ||H_i||^2) / 2 bounds the flow's quadratic part,
+    |q(e)| <= C |e|^2, over the Hessians H_i of its components.  Within
+    |e| < rho, d(e^T P e)/dt <= -|e|^2 (1 - 2 ||P|| C |e|) < 0, and the
+    sublevel set at lambda_min(P) rho^2 lies in that ball; the factor
+    1/2 was its safety factor.
+    """
+    jac = jacobian(fp.state, params)
+    lyap = scipy.linalg.solve_continuous_lyapunov(jac.T, -np.eye(3))
+    eigs = np.linalg.eigvalsh(0.5 * (lyap + lyap.T))
+    hess = np.transpose(_jacobian_many(np.eye(3), params) - _jacobian_many(np.zeros((1, 3)), params),
+                        (1, 2, 0))
+    c_quad = 0.5 * math.sqrt(sum(np.linalg.norm(h, ord=2) ** 2 for h in hess))
+    rho = 1.0 / (2.0 * eigs[-1] * c_quad)
+    return 0.5 * eigs[0] * rho * rho

@@ -44,6 +44,7 @@ from dissipative_ising.meanfield import (
     find_fixed_points_many,
 )
 from newton_oracle import newton_fixed_points
+from settle_oracle import norm_bound_level
 
 
 def random_params(rng, p=None):
@@ -626,6 +627,82 @@ class TestCapture:
                 assert (rate < 0.0).all(), (v, g, p, fp.state)
                 checked += 1
         assert checked >= 100
+
+    # mf_phase_select's grid of the benchmark: V = -1, p and g in 4 x 4 steps
+    SELECT_GRID = [(-1.0, g, p) for p in np.linspace(0.1, 1.0, 4) for g in np.linspace(-1.05, 0.3, 4)]
+
+    @staticmethod
+    def stable_regions(grid):
+        """(params, point, P, level, hessians) of every stable point of the grid."""
+        for v, g, p in grid:
+            prm = ModelParams(V=v, g=g, p=p)
+            hess = np.transpose(_jacobian_many(np.eye(3), prm) - _jacobian_many(np.zeros((1, 3)), prm),
+                                (1, 2, 0))
+            for fp in find_fixed_points(prm):
+                if fp.stable:
+                    lyap, level = _capture_region(fp, prm)
+                    yield prm, fp, lyap, level, hess
+
+    def test_level_not_below_norm_bound_level(self):
+        checked = 0
+        for prm, fp, _lyap, level, _hess in self.stable_regions(self.GRID + self.SELECT_GRID):
+            assert level >= norm_bound_level(fp, prm), (prm, fp.state)
+            checked += 1
+        assert checked >= 150
+        # where the quadratic part is far below its norm bound the level is
+        # far above the old one (about 19 and 25 times, sampled without margin)
+        for g in (-1.05, -0.6):
+            prm = ModelParams(V=-1.0, g=g, p=0.7)
+            (fp,) = [fp for fp in find_fixed_points(prm) if fp.stable]
+            assert _capture_region(fp, prm)[1] >= 8.0 * norm_bound_level(fp, prm), g
+
+    def test_quadratic_bound_covers_random_directions(self):
+        # Psi = max over unit u of u^T P q(u) / sqrt(u^T P u), sampled on
+        # normal random directions rather than the bound's cube-face grid
+        rng = np.random.default_rng(37)
+        u = rng.normal(size=(100_000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        worst = 0.0
+        for prm, fp, lyap, _level, hess in self.stable_regions(self.GRID + self.SELECT_GRID):
+            q = 0.5 * np.einsum("nj,ijk,nk->ni", u, hess, u)
+            sampled = np.einsum("ni,ij,nj->n", u, lyap, q) / np.sqrt(np.einsum("ni,ij,nj->n", u, lyap, u))
+            bound = meanfield._quadratic_bound(lyap, hess)
+            assert bound >= sampled.max() and bound >= -sampled.min(), (prm, fp.state)
+            worst = max(worst, bound / np.abs(sampled).max())
+        assert worst > 1.0
+
+    def test_direction_grid_covers_sphere(self):
+        dirs, *_monomials, radius = meanfield._direction_grid()
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        rng = np.random.default_rng(41)
+        u = rng.normal(size=(20_000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        # the chordal distance to v or -v, from u.v
+        nearest = np.sqrt(np.maximum(2.0 - 2.0 * np.abs(u @ dirs.T).max(axis=1), 0.0))
+        assert nearest.max() <= radius
+        assert nearest.max() > 0.5 * radius
+
+    def test_margin_covers_root_residual(self):
+        # theta = 2 sqrt(c) Psi_bar must leave (1 - theta) s^2 of decay on the
+        # boundary above the residual's 2 s ||P|| |r|, |r| <= sqrt(3) ROOT_TOL,
+        # at its nearest point s = sqrt(c / lambda_max(P))
+        for prm, fp, lyap, level, hess in self.stable_regions(self.GRID + self.SELECT_GRID):
+            eigs = np.linalg.eigvalsh(lyap)
+            c_quad = 0.5 * math.sqrt(sum(np.linalg.norm(h, ord=2) ** 2 for h in hess))
+            psi_bar = min(meanfield._quadratic_bound(lyap, hess), eigs[-1] * c_quad / math.sqrt(eigs[0]))
+            theta = 2.0 * math.sqrt(level) * psi_bar
+            s = math.sqrt(level / eigs[-1])
+            assert (1.0 - theta) * s > 2.0 * eigs[-1] * math.sqrt(3.0) * ROOT_TOL, (prm, fp.state)
+
+    def test_region_refused_where_residual_outweighs_margin(self):
+        # the south pole just past g+ = 2.4937 at p = 0 is stable but weakly
+        # damped (||P|| = 2.7e4): its exact residual 0 leaves the margin
+        # intact, a residual at ROOT_TOL would not
+        prm = ModelParams(V=-5.0, g=float(np.linspace(0.001, 3.0, 161)[133]), p=0.0)  # fig1_p0 row 133
+        (pole,) = [fp for fp in find_fixed_points(prm) if fp.stable]
+        assert pole.residual == 0.0 and np.array_equal(pole.state, [0.0, 0.0, -1.0])
+        assert _capture_region(pole, prm) is not None
+        assert _capture_region(replace(pole, residual=ROOT_TOL), prm) is None
 
     def test_capture_returns_root_state(self):
         prm = ModelParams(V=-5, g=1, p=1)

@@ -202,8 +202,10 @@ class TestPhaseDiagram:
         # no selection asked for, and a stable point: nothing runs
         "no_selection": ((-5.0, 0.8, 1.0), False, []),
         # a stable point the pole does not reach in four windows, and no
-        # cycle: the windows, then one check from their end
-        "stable_uncaptured": ((-5.0, -3.0, 0.9), True, ["settle"] * 4 + ["check"]),
+        # cycle: the windows, then one check from their end.  Just past the
+        # pole exchange g- = 0.0063 at p = 0 the pole spirals into a stable
+        # pair with tangent eigenvalues of real part -0.001
+        "stable_uncaptured": ((-5.0, 0.0197, 0.0), True, ["settle"] * 4 + ["check"]),
         # a stable point captured in window 0
         "captured_interior": ((-5.0, 0.8, 0.5), True, ["settle"]),
         # no selection asked for, and a stable point: nothing runs
