@@ -34,6 +34,7 @@ from .meanfield import (
     LimitCycle,
     ModelParams,
     Trajectory,
+    analytic_boundaries,
     analytic_p0,
     analytic_p1,
     bloch_rhs,
@@ -57,7 +58,6 @@ from .sweep import (
     GridSpec,
     HysteresisResult,
     PhasePoint,
-    analytic_boundaries,
     hysteresis_experiment,
     multistability_map,
     phase_diagram,

@@ -35,13 +35,14 @@ from .liouville import (
 )
 from .meanfield import (
     ModelParams,
+    analytic_boundaries,
     detect_limit_cycle,
     find_fixed_points,
     integrate_trajectory,
 )
 from .operators import spin_coherent_state
 from .sweep import (
-    BRANCH_SPLIT_TOL, analytic_boundaries, hysteresis_experiment, multistability_map,
+    BRANCH_SPLIT_TOL, hysteresis_experiment, multistability_map,
     phase_diagram, quantum_point,
 )
 from .tables import Table, write_metadata, write_table

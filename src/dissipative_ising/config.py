@@ -26,7 +26,7 @@ import yaml
 from .errors import ConfigError
 from .liouville import N_LIMIT
 from .meanfield import ModelParams
-from .sweep import Axis, GridSpec
+from .sweep import SWEEPABLE_NAMES, Axis, GridSpec
 
 TASKS = (
     "mf-fixed-points",
@@ -339,7 +339,7 @@ def _parse_axis(raw, where: str) -> Axis:
     block = _require_mapping(raw, where)
     _reject_unknown(block, ("name", "min", "max", "count"), where)
     _require(block, ("name", "min", "max", "count"), where)
-    name = _one_of("V", "g", "p")(block["name"], f"{where}.name")
+    name = _one_of(*SWEEPABLE_NAMES)(block["name"], f"{where}.name")
     lo, hi = _number(block["min"], f"{where}.min"), _number(block["max"], f"{where}.max")
     count = _integer(2)(block["count"], f"{where}.count")
     try:

@@ -4,23 +4,30 @@ The normalized magnetization (X, Y, Z) = <J>/(N/2) obeys the closed
 Bloch equations (all rates in the same units, Gamma is the collective
 decay rate, p in [0, 1] mixes the two Hamiltonian orientations):
 
-    dX/dt = -p (V/2) Y Z - (1-p) g Y + (Gamma/8) X Z
-    dY/dt = p ((V/2) X Z - g Z) + (1-p) (g X - (V/2) X Z) + (Gamma/8) Y Z
-    dZ/dt = p g Y + (1-p) (V/2) X Y - (Gamma/8) (1 - Z^2)
+    d(X, Y)/dt = A(Z) (X, Y) - (0, p g Z),   A(Z) = [[a Z, c0 + c1 Z], [d0 + d1 Z, a Z]],
+    dZ/dt = p g Y + e X Y - a (1 - Z^2),
+
+with c0 = -(1-p) g, c1 = -p V/2, d0 = (1-p) g, d1 = (2p-1) V/2 and
+e = (1-p) V/2.  The damping a = Gamma/8 is the one mean-field
+convention; ``_coefficients`` states it and every coefficient once, and
+the flow, its Jacobian, the eliminated Z polynomial, the planar flow and
+the closed forms all read them from there.
 
 Total angular momentum conservation keeps on-sphere initial data on the
-unit sphere: d(r^2)/dt = (Gamma/4) Z (r^2 - 1) vanishes at r = 1.
+unit sphere: d(r^2)/dt = 2 a Z (r^2 - 1) vanishes at r = 1.
 
-On the lines p = 1 and g = 0, dX/dt and dY/dt share the factor Z, so
-with ds = Z dt the planar flow of (X, Y) is affine-linear and has a
-first integral; the flow on the sphere retraces its planar curve across
-the equator, and its oscillations are closed neutral orbits:
+On the lines p = 1 and g = 0, c0 = d0 = 0, so dX/dt and dY/dt share the
+factor Z: with ds = Z dt the planar flow of (X, Y) is affine-linear,
 
-    p = 1:  xi = X + iY obeys dxi/ds = (Gamma/8 + iV/2) xi - i g, and
-            I = ln|w| - (Gamma/(4V)) arg w,  w = xi - i g/(Gamma/8 + iV/2)
-            (at V = 0, arg w alone);
-    g = 0:  d(X, Y)/ds = M (X, Y),  M = [[Gamma/8, -pV/2], [(2p-1)V/2, Gamma/8]];
-            with real eigenvalues l1 > l2 of M and eigen-coordinates
+    d(X, Y)/ds = M ((X, Y) - centre),   M = [[a, c1], [d1, a]],   M centre = (0, p g),
+
+and has a first integral; the flow on the sphere retraces its planar
+curve across the equator, and its oscillations are closed neutral
+orbits:
+
+    p = 1:  w = X + iY - centre obeys dw/ds = (a + iV/2) w, so
+            I = ln|w| - (2a/V) arg w (at V = 0, arg w alone);
+    g = 0:  with real eigenvalues l1 > l2 of M and eigen-coordinates
             (u, v), I = l2 ln|u| - l1 ln|v|; with complex ones it takes
             the p = 1 form in coordinates where M is a rotation-dilation.
 
@@ -73,6 +80,7 @@ __all__ = [
     "jacobian",
     "analytic_p1",
     "analytic_p0",
+    "analytic_boundaries",
     "classify_stability",
     "find_fixed_points",
     "find_fixed_points_many",
@@ -89,6 +97,8 @@ STABILITY_TOL = 1e-9
 ROOT_TOL = 1e-10
 # Roots closer than this (Euclidean) are considered the same fixed point.
 DEDUP_TOL = 1e-6
+# A settled state whose max-abs residual is below this counts as converged.
+CONVERGED_TOL = 1e-8
 # A root counts as on the unit sphere when | |s| - 1 | is at most this.
 _SPHERE_TOL = 1e-8
 # Polynomial roots with |Im Z| and |Z| - 1 below this are real candidates;
@@ -218,24 +228,38 @@ class ContinuationPoint:
     residual: float
 
 
+def _coefficients(params: ModelParams | _ParamRows):
+    """(a, c0, c1, d0, d1, pg, e) of the flow in the module docstring's form.
+
+    a = Gamma/8 is the damping, the one mean-field convention.  Works for
+    ``ModelParams`` (floats) and ``_ParamRows`` (one entry per row).
+    c0 = -d0 up to the sign of a zero at p = 1: the Jacobian adds c0 =
+    (p - 1) g and dX/dt subtracts d0 y, the zeros the tables were built on.
+    """
+    v, g, p = params.V, params.g, params.p
+    return (params.Gamma / 8.0, (p - 1.0) * g, -p * v / 2.0, (1.0 - p) * g,
+            (2.0 * p - 1.0) * v / 2.0, p * g, (1.0 - p) * v / 2.0)
+
+
 def _flow_of(params: ModelParams | _ParamRows):
     """The Bloch flow (x, y, z) -> (fx, fy, fz) of ``params``, its coefficients computed once.
 
     x, y, z are floats or equal-shape arrays; with ``_ParamRows`` the
-    parameters are arrays of that shape too.  Each coefficient is the
-    product that the written-out equations form first, so the flow
-    applies the same IEEE operations in the same order on every call.
+    parameters are arrays of that shape too.  Each term multiplies in
+    the same order on every call, so the flow applies the same IEEE
+    operations on floats and on stacks.  dY/dt keeps its written form
+    in p, g and V/2, to which the endpoints of ``settle`` are pinned.
     """
-    v, g, p, gam = params.V, params.g, params.p, params.Gamma
-    half_v, q, c = v / 2.0, 1.0 - p, gam / 8.0
-    a, b, pg, q_half_v = -p * half_v, q * g, p * g, q * half_v
+    a, _c0, c1, d0, _d1, pg, e = _coefficients(params)
+    g, p, half_v = params.g, params.p, params.V / 2.0
+    q = 1.0 - p
 
     def flow(x, y, z):
         hxz = half_v * x * z
         return (
-            a * y * z - b * y + c * x * z,
-            p * (hxz - g * z) + q * (g * x - hxz) + c * y * z,
-            pg * y + q_half_v * x * y - c * (1.0 - z * z),
+            c1 * y * z - d0 * y + a * x * z,
+            p * (hxz - g * z) + q * (g * x - hxz) + a * y * z,
+            pg * y + e * x * y - a * (1.0 - z * z),
         )
 
     return flow
@@ -273,18 +297,16 @@ def bloch_rhs(state, params: ModelParams) -> np.ndarray:
 def _jacobian_many(states: np.ndarray, params: ModelParams | _ParamRows) -> np.ndarray:
     """Analytic Jacobian of the Bloch flow for a stack of states, (n, 3, 3)."""
     x, y, z = states[..., 0], states[..., 1], states[..., 2]
-    v, g, p, gam = params.V, params.g, params.p, params.Gamma
-    n = states.shape[0]
-    jac = np.empty((n, 3, 3), dtype=float)
-    jac[:, 0, 0] = gam * z / 8.0
-    jac[:, 0, 1] = (p - 1.0) * g - (p / 2.0) * v * z
-    jac[:, 0, 2] = -(p / 2.0) * v * y + gam * x / 8.0
-    jac[:, 1, 0] = (2.0 * p - 1.0) / 2.0 * v * z + (1.0 - p) * g
-    jac[:, 1, 1] = gam * z / 8.0
-    jac[:, 1, 2] = (2.0 * p - 1.0) / 2.0 * v * x - p * g + gam * y / 8.0
-    jac[:, 2, 0] = (1.0 - p) / 2.0 * v * y
-    jac[:, 2, 1] = p * g + (1.0 - p) / 2.0 * v * x
-    jac[:, 2, 2] = gam * z / 4.0
+    a, c0, c1, d0, d1, pg, e = _coefficients(params)
+    jac = np.empty((states.shape[0], 3, 3), dtype=float)
+    jac[:, 0, 0] = jac[:, 1, 1] = a * z
+    jac[:, 0, 1] = c0 + c1 * z
+    jac[:, 0, 2] = c1 * y + a * x
+    jac[:, 1, 0] = d0 + d1 * z
+    jac[:, 1, 2] = d1 * x - pg + a * y
+    jac[:, 2, 0] = e * y
+    jac[:, 2, 1] = pg + e * x
+    jac[:, 2, 2] = 2.0 * a * z
     return jac
 
 
@@ -297,52 +319,80 @@ def jacobian(state, params: ModelParams) -> np.ndarray:
 def analytic_p1(params: ModelParams) -> np.ndarray | None:
     """Closed-form stable steady state for p = 1.
 
-    Returns (32 g V / D, 8 g Gamma / D, -sqrt(1 - 64 g^2 / D)) with
-    D = 16 V^2 + Gamma^2, or None where the radicand is negative (the
+    The southern lift of the planar centre of :func:`_planar_flow`:
+    (p g (beta, a) / d, -sqrt(1 - (p g)^2 / d)) with beta = V/2 and
+    d = a^2 + beta^2, or None where the radicand is negative (the
     region without stable fixed points).  The returned vector lies on
-    the unit sphere identically: X^2 + Y^2 = 64 g^2 / D.
+    the unit sphere identically: X^2 + Y^2 = (p g)^2 / d.
     """
     if params.p != 1.0:
         raise ValueError(f"closed form requires p=1, got p={params.p}")
-    v, g, gam = params.V, params.g, params.Gamma
-    d = 16.0 * v * v + gam * gam
-    radicand = 1.0 - 64.0 * g * g / d
-    if radicand < 0.0:
-        return None
-    return np.array([32.0 * g * v / d, 8.0 * g * gam / d, -math.sqrt(radicand)])
+    lifts = _planar_flow(params)[4]
+    return lifts[0] if lifts else None
 
 
 def analytic_p0(params: ModelParams) -> list[tuple[np.ndarray, str]]:
     """Closed-form steady-state candidates for p = 0, with branch labels.
 
-    The nontrivial family is (X, Y, Z) = (eta, Gamma*eta*xi, 8*g*xi)
-    where xi solves Gamma^2 xi^2 - 4 V xi + 1 = 0, i.e.
-    xi(+/-) = (2V +/- sqrt(4V^2 - Gamma^2)) / Gamma^2, and
-    eta = +/- sqrt(1 - (64 g^2 + Gamma^2) xi / (4V)).  Labels are two
-    sign characters (xi branch, eta sign).  The polarized poles
-    (0, 0, -1) and (0, 0, +1), which are always roots at p = 0, are
-    appended with labels "pole-" and "pole+".
+    At p = 0, p g = 0 and A(Z) = [[a Z, -g], [g - e Z, a Z]], so off the
+    poles det A(Z) = 0, which with Z = g zeta reads
+    a^2 zeta^2 - e zeta + 1 = 0: zeta(+/-) = (e +/- sqrt(e^2 - 4 a^2)) / (2 a^2).
+    The first row gives Y = a zeta X, and the unit sphere
+    X = eta = +/- sqrt(1 - (g^2 + a^2) zeta / e), so the nontrivial family
+    is (X, Y, Z) = (eta, a eta zeta, g zeta).  Labels are two sign
+    characters (zeta branch, eta sign).  The polarized poles (0, 0, -1)
+    and (0, 0, +1), which are always roots at p = 0, are appended with
+    labels "pole-" and "pole+".
 
     Only branches with a real eta are returned; every returned vector
-    lies on the unit sphere (the quadratic for xi enforces it).
+    lies on the unit sphere (the quadratic for zeta enforces it).
     """
     if params.p != 0.0:
         raise ValueError(f"closed form requires p=0, got p={params.p}")
-    v, g, gam = params.V, params.g, params.Gamma
+    a, _c0, _c1, _d0, _d1, _pg, e = _coefficients(params)
+    g = params.g
     out: list[tuple[np.ndarray, str]] = []
-    disc = 4.0 * v * v - gam * gam
-    if disc >= 0.0 and v != 0.0:
+    disc = e * e - 4.0 * a * a
+    if disc >= 0.0 and e != 0.0:
         root = math.sqrt(disc)
-        for s_xi, xi in (("+", (2.0 * v + root) / gam**2), ("-", (2.0 * v - root) / gam**2)):
-            radicand = 1.0 - (64.0 * g * g + gam * gam) * xi / (4.0 * v)
+        for s_zeta, zeta in (("+", (e + root) / (2.0 * a * a)), ("-", (e - root) / (2.0 * a * a))):
+            radicand = 1.0 - (g * g + a * a) * zeta / e
             if radicand < 0.0:
                 continue
             eta = math.sqrt(radicand)
-            for s_eta, e in (("+", eta), ("-", -eta)):
-                out.append((np.array([e, gam * e * xi, 8.0 * g * xi]), s_xi + s_eta))
+            for s_eta, x in (("+", eta), ("-", -eta)):
+                out.append((np.array([x, a * x * zeta, g * zeta]), s_zeta + s_eta))
     out.append((np.array([0.0, 0.0, -1.0]), "pole-"))
     out.append((np.array([0.0, 0.0, 1.0]), "pole+"))
     return out
+
+
+def analytic_boundaries(v_values, gamma: float = 1.0) -> list[dict]:
+    """Closed-form phase boundaries as a table over V.
+
+    For p = 1 the stable region, where :func:`analytic_p1` has a root,
+    ends at |g| = sqrt(d) = sqrt(a^2 + (V/2)^2).  For p = 0 the ordered
+    window [g-, g+] is where the branches of :func:`analytic_p0` have a
+    real eta, which vanishes at g = 1/zeta:
+    g(+/-) = 2 a^2 / (e +/- sqrt(e^2 - 4 a^2)) with e = V/2, for
+    V <= -4a.  Both the signed values and their magnitudes are
+    tabulated, NaN where the window is closed.  For V > -4a it is
+    closed: at V >= 4a the formula has real roots, but only the south
+    pole is stable at p = 0.
+    """
+    if gamma <= 0.0:
+        raise ValueError(f"Gamma must be positive, got {gamma}")
+    rows = []
+    for v in np.asarray(v_values, dtype=float).tolist():
+        # e = V/2 at p = 0 is also beta at p = 1
+        a, _c0, _c1, _d0, _d1, _pg, e = _coefficients(ModelParams(V=v, g=0.0, p=0.0, Gamma=gamma))
+        gplus = gminus = math.nan
+        if e <= -2.0 * a:
+            root = math.sqrt(e * e - 4.0 * a * a)
+            gplus, gminus = 2.0 * a * a / (e + root), 2.0 * a * a / (e - root)
+        rows.append({"V": v, "gc_p1": math.sqrt(a * a + e * e), "gplus_c": abs(gplus),
+                     "gminus_c": abs(gminus), "gplus_c_signed": gplus, "gminus_c_signed": gminus})
+    return rows
 
 
 def _classify(states: np.ndarray, rows: _ParamRows, residuals) -> list[FixedPoint]:
@@ -392,23 +442,66 @@ def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> Fi
     return _classify(state[None, :], _ParamRows.of([params]), [residual])[0]
 
 
-def _p1_candidates(params: ModelParams) -> list[np.ndarray]:
-    """Roots on the sphere at p = 1.
+def _planar_flow(params: ModelParams):
+    """(a, beta, gamma, centre, lifts) of the planar flow at p = 1 or g = 0, else None.
 
-    For Z != 0 the closed form of :func:`analytic_p1` with either sign
-    of Z.  At Z = 0 every (X, Gamma/(8g), 0) is a root (a marginal
-    line); it meets the sphere in two points when |Gamma/(8g)| <= 1.
+    There c0 = d0 = 0, so dX/dt and dY/dt share the factor Z, and with
+    ds = Z dt
+
+        d(X, Y)/ds = M ((X, Y) - centre),   M = [[a, -beta], [gamma, a]],   M centre = (0, p g),
+
+    beta = -c1 = p V/2 and gamma = d1 = (2p-1) V/2.  At p = 1,
+    centre = p g (beta, a) / d with d = det M = a^2 + beta^2; at g = 0
+    (p > 0) it is the origin.  Over the centre dZ/dt vanishes on the
+    unit sphere, so its ``lifts``, (centre, -Z) and (centre, Z) with
+    Z = sqrt(1 - |centre|^2), are roots of the flow; none are listed
+    where the centre lies outside the unit disk.
     """
-    out = []
-    lower = analytic_p1(params)
-    if lower is not None:
-        out += [lower, lower * np.array([1.0, 1.0, -1.0])]
-    if params.g != 0.0:
-        y = params.Gamma / (8.0 * params.g)
-        if abs(y) <= 1.0:
-            x = math.sqrt(1.0 - y * y)
-            out += [np.array([x, y, 0.0]), np.array([-x, y, 0.0])]
-    return out
+    a, _c0, c1, _d0, gamma, pg, _e = _coefficients(params)
+    beta = -c1
+    if params.p == 1.0:
+        d = a * a + beta * beta
+        centre, radicand = (pg * beta / d, pg * a / d), 1.0 - pg * pg / d
+    elif params.g == 0.0 and params.p > 0.0:
+        # the literal origin: pg * beta / d is -0.0 where beta < 0
+        centre, radicand = (0.0, 0.0), 1.0
+    else:
+        return None
+    lifts = [np.array([*centre, s * math.sqrt(radicand)]) for s in (-1.0, 1.0)] if radicand >= 0.0 else []
+    return a, beta, gamma, centre, lifts
+
+
+def _tangency_points(params: ModelParams) -> list[np.ndarray]:
+    """The equator roots at p = 1 or g = 0, where the planar flow is tangent to the unit circle.
+
+    At Z = 0, dZ/dt = 0 reads p g Y + e X Y = a.  At p = 1 (e = 0) that
+    is Y = a/(p g), a line of marginal roots that meets the circle in two
+    points where |a/(p g)| <= 1.  At g = 0 it is X Y = a/e, which meets
+    the circle in four points where |X Y| <= 1/2.
+    """
+    a, _c0, _c1, _d0, _d1, pg, e = _coefficients(params)
+    if params.p == 1.0:
+        if pg == 0.0 or abs(a / pg) > 1.0:
+            return []
+        y = a / pg
+        x = math.sqrt(1.0 - y * y)
+        return [np.array([x, y, 0.0]), np.array([-x, y, 0.0])]
+    if e == 0.0 or abs(a / e) > 0.5:
+        return []
+    xy = a / e
+    s, t = math.sqrt(1.0 + 2.0 * xy), math.sqrt(1.0 - 2.0 * xy)
+    return [np.array([(u + w) / 2.0, (u - w) / 2.0, 0.0]) for u, w in ((s, t), (s, -t), (-s, t), (-s, -t))]
+
+
+def _planar_candidates(params: ModelParams) -> list[np.ndarray]:
+    """Roots on the sphere at p = 1 or g = 0 (p > 0): the centre's lifts, then the equator roots.
+
+    There A(Z) = Z M, so dX/dt = dY/dt = 0 needs Z = 0 or (X, Y) at the
+    centre of :func:`_planar_flow`.  (Where det M = 0 as well, whole
+    circles of roots pass through the poles; they are not isolated and
+    are not listed.)
+    """
+    return _planar_flow(params)[4] + _tangency_points(params)
 
 
 def _series(*coeffs) -> np.ndarray:
@@ -439,18 +532,18 @@ def _z_polynomials(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray, np.ndarray
     polynomial, padded to degree 6.  Its leading coefficients can vanish
     exactly at special parameter values, so a row's degree can be lower.
     """
-    v, g, p = rows.V, rows.g, rows.p
-    a = rows.Gamma / 8.0
-    c = _series(-(1.0 - p) * g, -p * v / 2.0)
-    d = _series((1.0 - p) * g, (2.0 * p - 1.0) * v / 2.0)
+    a, c0, c1, d0, d1, pg, e = _coefficients(rows)
+    c, d = _series(c0, c1), _series(d0, d1)
     det = _series(0.0, 0.0, a * a) - _polymul(c, d)
-    nx = _polymul(c, _series(0.0, -p * g))
-    ny = _series(0.0, 0.0, a * p * g)
+    nx = _polymul(c, _series(0.0, -pg))
+    # (a p) g, not a (p g): the two round differently, and the tables
+    # were built on this one
+    ny = _series(0.0, 0.0, a * rows.p * rows.g)
     # Python's float power: (p g)**2 rounds differently from pg * pg about
     # once in a thousand, and this is the value the tables were built on
-    pg_squared = np.array([pg ** 2 for pg in (p * g).tolist()])
+    pg_squared = np.array([x ** 2 for x in pg.tolist()])
     poly = (_polymul(_series(0.0, 0.0, a * pg_squared), det)
-            + _polymul(((1.0 - p) * v / 2.0)[:, None] * nx, ny))
+            + _polymul(e[:, None] * nx, ny))
     poly = np.pad(poly, ((0, 0), (0, 2))) - _polymul(
         a[:, None] * np.array([1.0, 0.0, -1.0]), _polymul(det, det))
     return c, d, poly
@@ -479,8 +572,8 @@ def _eliminated_candidates(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
 
     At fixed Z, dX/dt = dY/dt = 0 is linear in (X, Y):
 
-        A(Z) (X, Y) = b = (0, p g Z),   A = [a Z, c(Z); d(Z), a Z],   a = Gamma/8,
-        c = -(p V/2) Z - (1-p) g,   d = ((2p-1) V/2) Z + (1-p) g,
+        A(Z) (X, Y) = b = (0, p g Z),   A = [a Z, c(Z); d(Z), a Z],
+        c = c0 + c1 Z,   d = d0 + d1 Z   (see the module docstring),
 
     so X = -c p g Z / det A and Y = a p g Z^2 / det A.  Substituting into
     dZ/dt = 0 and clearing det^2 leaves a polynomial of degree <= 6 in
@@ -514,7 +607,7 @@ def _eliminated_candidates(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
         cells.append(np.repeat(group, real.sum(axis=1)))
         zs.append(roots.real[real])
     cell, z = np.concatenate(cells), np.concatenate(zs)
-    a, pg = rows.Gamma[cell] / 8.0, rows.p[cell] * rows.g[cell]
+    a, _c0, _c1, _d0, _d1, pg, _e = _coefficients(rows.take(cell))
     mats = np.empty((z.size, 2, 2))
     mats[:, 0, 0] = mats[:, 1, 1] = a * z
     # Horner's rule as numpy.polynomial.polynomial.polyval applies it
@@ -531,28 +624,6 @@ def _eliminated_candidates(rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
     return states, np.concatenate([cell, cell])
 
 
-def _undriven_candidates(params: ModelParams) -> list[np.ndarray]:
-    """Roots on the sphere at g = 0 and 0 < p < 1.
-
-    With g = 0 the system A(Z) (X, Y) = b of :func:`_eliminated_candidates`
-    reads Z M (X, Y) = 0 for a fixed matrix M, so away from Z = 0 only
-    the poles solve the flow.  At Z = 0, A vanishes and dZ/dt = 0 leaves
-    (1-p)(V/2) X Y = Gamma/8, which meets the equator X^2 + Y^2 = 1
-    where |X Y| <= 1/2.  (Where det M = 0 as well, whole circles of
-    roots pass through the poles; they are not isolated and are not
-    listed.)
-    """
-    v, p, gam = params.V, params.p, params.Gamma
-    out = [np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0])]
-    if v != 0.0:
-        xy = gam / (4.0 * (1.0 - p) * v)
-        if abs(xy) <= 0.5:
-            s, t = math.sqrt(1.0 + 2.0 * xy), math.sqrt(1.0 - 2.0 * xy)
-            for a, b in ((s, t), (s, -t), (-s, t), (-s, -t)):
-                out.append(np.array([(a + b) / 2.0, (a - b) / 2.0, 0.0]))
-    return out
-
-
 def _candidates(params_seq: list[ModelParams], rows: _ParamRows) -> tuple[np.ndarray, np.ndarray]:
     """Approximate fixed points on the sphere of every cell, possibly repeated.
 
@@ -564,10 +635,8 @@ def _candidates(params_seq: list[ModelParams], rows: _ParamRows) -> tuple[np.nda
     for k, params in enumerate(params_seq):
         if params.p == 0.0:
             cands = [s for s, _label in analytic_p0(params)]
-        elif params.p == 1.0:
-            cands = _p1_candidates(params)
-        elif params.g == 0.0:
-            cands = _undriven_candidates(params)
+        elif params.p == 1.0 or params.g == 0.0:
+            cands = _planar_candidates(params)
         else:
             generic.append(k)
             continue
@@ -674,14 +743,14 @@ def find_fixed_points(params: ModelParams, n_seeds: int = 200) -> list[FixedPoin
     polynomial of degree <= 6 in Z, obtained by solving dX/dt = dY/dt = 0
     for (X, Y) at fixed Z and eliminating them from dZ/dt = 0.  At
     p = 0 they are the closed-form candidates of :func:`analytic_p0`;
-    at p = 1 the +/-Z pair of :func:`analytic_p1` plus the two points
-    where the marginal line Z = 0, Y = Gamma/(8g) meets the sphere; at
-    g = 0 the poles plus the equator points where (1-p)(V/2) X Y =
-    Gamma/8.  Each candidate is polished by a few Newton steps and kept
-    if its max-abs residual is at most ``ROOT_TOL`` and it lies on the
-    unit sphere; candidates closer than ``DEDUP_TOL`` are merged.  Roots
-    off the sphere (possible only at Z = 0, since d(r^2)/dt =
-    (Gamma/4) Z (r^2 - 1)) and continua of roots are not listed.
+    at p = 1 and g = 0 those of :func:`_planar_candidates`: the two
+    points over the planar centre (the +/-Z pair of :func:`analytic_p1`
+    at p = 1, the poles at g = 0) plus the equator points where
+    p g Y + e X Y = a.  Each candidate is polished by a few Newton steps
+    and kept if its max-abs residual is at most ``ROOT_TOL`` and it lies
+    on the unit sphere; candidates closer than ``DEDUP_TOL`` are merged.
+    Roots off the sphere (possible only at Z = 0, since d(r^2)/dt =
+    2 a Z (r^2 - 1)) and continua of roots are not listed.
 
     This is :func:`find_fixed_points_many` on a batch of one cell.
     ``n_seeds`` is unused but still checked to be >= 1; it goes once
@@ -713,45 +782,6 @@ class SeedOrbit:
     point: np.ndarray | None = None
 
 
-def _planar_flow(params: ModelParams):
-    """(a, beta, gamma, centre) of the planar flow at p = 1 or g = 0, else None.
-
-    There dX/dt and dY/dt share the factor Z, and with ds = Z dt
-
-        d(X, Y)/ds = M ((X, Y) - centre),   M = [[a, -beta], [gamma, a]],
-
-    a = Gamma/8, beta = p V/2, gamma = (2p-1) V/2, M centre = (0, p g).
-    """
-    v, g, p = params.V, params.g, params.p
-    a = params.Gamma / 8.0
-    beta, gamma = p * v / 2.0, (2.0 * p - 1.0) * v / 2.0
-    if p == 1.0:
-        d = a * a + beta * beta
-        centre = (g * beta / d, g * a / d)
-    elif g == 0.0 and p > 0.0:
-        centre = (0.0, 0.0)
-    else:
-        return None
-    return a, beta, gamma, centre
-
-
-def _tangency_angles(params: ModelParams, a: float, beta: float, gamma: float) -> list[float]:
-    """Angles phi of the equator roots (cos phi, sin phi, 0) at p = 1 or g = 0.
-
-    They are the points of the unit circle where the planar flow is
-    tangent to it: a + (gamma - beta) X Y = p g Y.
-    """
-    if params.p == 1.0:
-        if params.g == 0.0 or abs(a / params.g) > 1.0:
-            return []
-        t = math.asin(a / params.g)
-        return [t, math.pi - t]
-    if gamma == beta or abs(2.0 * a / (gamma - beta)) > 1.0:
-        return []
-    t = 0.5 * math.asin(-2.0 * a / (gamma - beta))
-    return [t, 0.5 * math.pi - t, t + math.pi, 1.5 * math.pi - t]
-
-
 def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else -math.inf
 
@@ -778,7 +808,7 @@ def _orbit_phase(flow, seed):
     block (kappa = 0, N != 0), det M = 0, a seed on an eigenline and a
     centre on the unit circle have no such form here.
     """
-    a, beta, gamma, (xc, yc) = flow
+    a, beta, gamma, (xc, yc), _lifts = flow
     kappa = beta * gamma
     if kappa > 0.0 or beta == gamma == 0.0:
         t1 = math.sqrt(gamma / beta) if kappa > 0.0 else 1.0
@@ -869,13 +899,14 @@ def seed_orbit(state, params: ModelParams) -> SeedOrbit | None:
     On these lines the planar flow of ``_planar_flow`` is linear in s,
     so the orbit through (X, Y) is a level set of a first integral.
     The points where it meets the unit circle are the roots, on the arcs
-    between the equator roots (where the flow is tangent to the circle),
-    of that integral's equation; brentq finds each of them, with its
-    flow time s.  The seed moves backward in s while Z < 0.  Without a
-    crossing at s < 0 the seed tends to the centre; otherwise the
+    between the equator roots of :func:`_tangency_points` (where the
+    flow is tangent to the circle), of that integral's equation; brentq
+    finds each of them, with its flow time s.  The seed moves backward
+    in s while Z < 0.  Without a crossing at s < 0 the seed tends to the
+    centre, and the orbit ends at its southern lift; otherwise the
     nearest crossings on both sides end the orbit's arc in the disk.
     An end that meets an equator root within a relative 1e-9 of its
-    integral makes a separatrix.
+    integral makes a separatrix, and that root is its point.
 
     Returns None off those lines and where the closed form degenerates:
     see ``_orbit_phase``.
@@ -888,13 +919,14 @@ def seed_orbit(state, params: ModelParams) -> SeedOrbit | None:
     if phase is None:
         return None
     theta, s_of, targets, splits, same_sign, backward_to_centre = phase
-    tangent = _tangency_angles(params, *flow[:3])
-    cuts = sorted([(t % (2.0 * math.pi), True) for t in tangent]
-                  + [(t % (2.0 * math.pi), False) for t in splits]) or [(0.0, False)]
-    arcs = [(lo, hi, at_root) for (lo, at_root), (hi, _) in
+    # each cut is (angle, index of its equator root, or -1 on an eigenline)
+    roots = _tangency_points(params)
+    cuts = sorted([(math.atan2(y, x) % (2.0 * math.pi), k) for k, (x, y, _z) in enumerate(roots)]
+                  + [(t % (2.0 * math.pi), -1) for t in splits]) or [(0.0, -1)]
+    arcs = [(lo, hi, root) for (lo, root), (hi, _) in
             zip(cuts, cuts[1:] + [(cuts[0][0] + 2.0 * math.pi, cuts[0][1])])]
-    crossings = []  # (s, phi, at an equator root)
-    for lo, hi, at_root in arcs:
+    crossings = []  # (s, phi, index of the equator root there, or -1)
+    for lo, hi, root in arcs:
         if not same_sign(0.5 * (lo + hi)):
             continue
         t_lo, t_hi = theta(lo), theta(hi)
@@ -903,22 +935,22 @@ def seed_orbit(state, params: ModelParams) -> SeedOrbit | None:
         for target in targets(min(t_lo, t_hi) - 1.0, max(t_lo, t_hi) + 1.0):
             tol = _SEPARATRIX_TOL * max(1.0, abs(target))
             if abs(t_lo - target) <= tol:
-                crossings.append((s_of(lo), lo, at_root))
+                crossings.append((s_of(lo), lo, root))
             elif abs(t_hi - target) > tol and (t_lo - target) * (t_hi - target) < 0.0:
                 phi = brentq(lambda x, t=target: math.atan(theta(x) - t), lo, hi, xtol=1e-14)
-                crossings.append((s_of(phi), phi, False))
+                crossings.append((s_of(phi), phi, -1))
     backward = max((c for c in crossings if c[0] < 0.0), default=None)
     forward = min((c for c in crossings if c[0] > 0.0), default=None)
     if forward is None:
         return None
     if backward is None:
-        xc, yc = flow[3]
-        if not backward_to_centre or xc * xc + yc * yc >= 1.0:
+        lifts = flow[4]
+        if not (backward_to_centre and lifts and lifts[0][2] < 0.0):
             return None
-        return SeedOrbit("centre", np.array([xc, yc, -math.sqrt(1.0 - xc * xc - yc * yc)]))
-    for _s, phi, at_root in (backward, forward):
-        if at_root:
-            return SeedOrbit("separatrix", np.array([math.cos(phi), math.sin(phi), 0.0]))
+        return SeedOrbit("centre", lifts[0])
+    for _s, _phi, root in (backward, forward):
+        if root >= 0:
+            return SeedOrbit("separatrix", roots[root])
     return SeedOrbit("closed", np.array([math.cos(backward[1]), math.sin(backward[1]), 0.0]))
 
 
@@ -932,7 +964,11 @@ class _Dop853:
     its own work arrays alive for the life of the process.  This solver
     is built once per shape and called through two fixed methods that
     read the run's ``fun`` and ``stop`` from attributes cleared after the
-    run; what stays behind is one bound method, about 60 bytes, per run.
+    run.  The step callback the compiled code sees is the integrator's
+    ``_solout``, which ``set_initial_value`` would bind afresh on every
+    run, leaving one bound method (64 bytes) behind each time; it is
+    bound once here, so repeated runs hand over the same objects and
+    hold no memory.
     """
 
     def __init__(self, size: int, rtol: float, atol: float):
@@ -942,6 +978,8 @@ class _Dop853:
             "dop853", rtol=rtol, atol=atol, nsteps=_NO_STEP_CAP, beta=_STEP_CONTROL_BETA
         )
         self.solver.set_solout(self._step)
+        integrator = self.solver._integrator
+        integrator._solout = integrator._solout
 
     def _rhs(self, t, y):
         # the compiled loop cannot see a Python exception and would keep
@@ -1367,7 +1405,7 @@ def continuation_sweep(
     At each station the flow is settled (see :func:`settle`) for
     ``settle_time`` starting from the previous converged state (the
     first station starts from ``initial``); the endpoint is recorded together with a convergence
-    flag (max-abs residual below 1e-8).  Consecutive path entries must
+    flag (max-abs residual below ``CONVERGED_TOL``).  Consecutive path entries must
     differ in exactly one of V, g, p, Gamma.
     """
     if not params_path:
@@ -1388,7 +1426,7 @@ def continuation_sweep(
             ContinuationPoint(
                 params=params,
                 state=state.copy(),
-                converged=residual < 1e-8,
+                converged=residual < CONVERGED_TOL,
                 residual=residual,
             )
         )

@@ -32,6 +32,7 @@ from .liouville import (
     steady_state,
 )
 from .meanfield import (
+    CONVERGED_TOL,
     FixedPoint,
     ModelParams,
     _capture,
@@ -53,7 +54,6 @@ __all__ = [
     "phase_diagram",
     "quantum_point",
     "multistability_map",
-    "analytic_boundaries",
     "hysteresis_experiment",
 ]
 
@@ -180,7 +180,7 @@ def _select_branch(params: ModelParams, stable: list[FixedPoint]):
     end, capture = SOUTH_POLE_SEED, _capture(stable, params)
     for _ in range(4):
         end = settle(end, params, SETTLE_WINDOW, capture=capture)
-        if float(np.abs(bloch_rhs(end, params)).max()) < 1e-8:
+        if float(np.abs(bloch_rhs(end, params)).max()) < CONVERGED_TOL:
             break
     else:
         try:
@@ -351,41 +351,6 @@ def multistability_map(grid: GridSpec, workers: int = 1) -> list[PhasePoint]:
     if not names <= {"g", "p"}:
         raise ValueError(f"multistability map sweeps (g, p); got axes {sorted(names)}")
     return phase_diagram(grid, solver="mf", workers=workers, select_branch=False)
-
-
-def analytic_boundaries(v_values, gamma: float = 1.0) -> list[dict]:
-    """Closed-form phase boundaries as a table over V.
-
-    For p = 1 the stable region ends at |g| = sqrt(16 V^2 + Gamma^2)/8.
-    For p = 0 the ordered window [g-, g+] exists for V <= -Gamma/2 with
-    g(+/-) = Gamma^2 / (8 (2V +/- sqrt(4V^2 - Gamma^2))) (the printed
-    units-of-Gamma form rescaled to carry rate units); both the signed
-    values and their magnitudes are tabulated, NaN where the window is
-    closed.  For V > -Gamma/2 it is closed: at V >= Gamma/2 the formula
-    has real roots, but only the south pole is stable at p = 0.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"Gamma must be positive, got {gamma}")
-    rows = []
-    for v in np.asarray(v_values, dtype=float):
-        gc_p1 = math.sqrt(16.0 * v * v + gamma * gamma) / 8.0
-        if v <= -0.5 * gamma:
-            root = math.sqrt(4.0 * v * v - gamma * gamma)
-            gplus = gamma * gamma / (8.0 * (2.0 * v + root))
-            gminus = gamma * gamma / (8.0 * (2.0 * v - root))
-        else:
-            gplus = gminus = math.nan
-        rows.append(
-            {
-                "V": float(v),
-                "gc_p1": gc_p1,
-                "gplus_c": abs(gplus),
-                "gminus_c": abs(gminus),
-                "gplus_c_signed": gplus,
-                "gminus_c_signed": gminus,
-            }
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from dissipative_ising import (
     IntegrationError,
     ModelParams,
     NotAFixedPointError,
+    analytic_boundaries,
     analytic_p0,
     analytic_p1,
     bloch_rhs,
@@ -43,6 +44,8 @@ from dissipative_ising.meanfield import (
     _z_polynomials,
     find_fixed_points_many,
 )
+import bloch_oracle
+from dissipative_ising.sweep import SOUTH_POLE_SEED
 from newton_oracle import newton_fixed_points
 from settle_oracle import norm_bound_level
 
@@ -509,6 +512,149 @@ class TestStackedSearch:
                 assert same_fixed_points([alone], [fp]), prm
 
 
+class TestBlochOracle:
+    """The coefficient form of ``meanfield`` against the written-out formulas of
+    ``bloch_oracle``, bit for bit.
+
+    The one difference is at p = 0 where Python's ``Gamma ** 2`` rounds
+    apart from ``Gamma * Gamma``: ``analytic_p0`` now forms 2 a^2 by
+    multiplication, so there its branches may move by an ulp.
+    """
+
+    @staticmethod
+    def cells():
+        rng = np.random.default_rng(31)
+        cells = TestStackedSearch.GRID + [random_params(rng) for _ in range(2000)]
+        cells += [random_params(rng, p=p) for p in (0.0, 1.0) for _ in range(300)]
+        cells += [replace(random_params(rng), g=0.0) for _ in range(300)]
+        cells += [replace(random_params(rng), V=0.0) for _ in range(100)]
+        return cells
+
+    @staticmethod
+    def pow_rounds_apart(prm) -> bool:
+        return prm.p == 0.0 and prm.Gamma ** 2 != prm.Gamma * prm.Gamma
+
+    @staticmethod
+    def oracle_fixed_points(cells, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "_rhs_many", bloch_oracle.rhs_many)
+            patch.setattr(meanfield, "_jacobian_many", bloch_oracle.jacobian_many)
+            patch.setattr(meanfield, "_candidates", bloch_oracle.candidates)
+            return find_fixed_points_many(cells)
+
+    def test_flow_and_jacobian(self):
+        cells = self.cells()
+        rng = np.random.default_rng(32)
+        states = rng.normal(size=(len(cells), 3))
+        # zeros of either sign, as at the poles and on the equator, where
+        # the sign of a zero result depends on how each term is formed
+        zero = rng.random(states.shape) < 1.0 / 3.0
+        states[zero] = np.copysign(0.0, states[zero])
+        rows = _ParamRows.of(cells)
+        assert _rhs_many(states, rows).tobytes() == bloch_oracle.rhs_many(states, rows).tobytes()
+        assert (_jacobian_many(states, rows).tobytes()
+                == bloch_oracle.jacobian_many(states, rows).tobytes())
+        for prm, s in zip(cells[::7], states[::7]):
+            assert bloch_rhs(s, prm).tobytes() == bloch_oracle.rhs_many(s[None], prm)[0].tobytes()
+            assert jacobian(s, prm).tobytes() == bloch_oracle.jacobian_many(s[None], prm)[0].tobytes()
+
+    def test_candidates(self):
+        cells = self.cells()
+        rows = _ParamRows.of(cells)
+        ours, cell = meanfield._candidates(cells, rows)
+        ref, ref_cell = bloch_oracle.candidates(cells, rows)
+        assert np.array_equal(cell, ref_cell)
+        for k in range(len(cells)):
+            a, b = ours[cell == k], ref[cell == k]
+            if self.pow_rounds_apart(cells[k]):
+                assert np.abs(a - b).max() <= 4 * np.finfo(float).eps, cells[k]
+            else:
+                assert a.tobytes() == b.tobytes(), cells[k]
+
+    def test_fixed_points(self, monkeypatch):
+        cells = self.cells()
+        ours = find_fixed_points_many(cells)
+        ref = self.oracle_fixed_points(cells, monkeypatch)
+        roots = 0
+        for prm, a, b in zip(cells, ours, ref):
+            if self.pow_rounds_apart(prm):
+                assert [(x.stable, x.marginal) for x in a] == [(y.stable, y.marginal) for y in b], prm
+                assert all(np.abs(x.state - y.state).max() <= 1e-15 for x, y in zip(a, b)), prm
+            else:
+                assert same_fixed_points(a, b), prm
+            roots += len(a)
+        assert roots > 10_000
+
+    def test_closed_forms(self):
+        cells = self.cells()
+        for prm in cells:
+            if prm.p == 1.0:
+                ours, ref = analytic_p1(prm), bloch_oracle.analytic_p1(prm)
+                assert (ours is None and ref is None) or ours.tobytes() == ref.tobytes(), prm
+            if prm.p == 0.0:
+                ours, ref = analytic_p0(prm), bloch_oracle.analytic_p0(prm)
+                assert [lab for _s, lab in ours] == [lab for _s, lab in ref], prm
+                for (a, _), (b, _) in zip(ours, ref):
+                    if self.pow_rounds_apart(prm):
+                        assert np.abs(a - b).max() <= 4 * np.finfo(float).eps, prm
+                    else:
+                        assert a.tobytes() == b.tobytes(), prm
+        assert any(prm.p == 1.0 and analytic_p1(prm) is None for prm in cells)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.37, 1.9, 8.0])
+    def test_boundaries(self, gamma):
+        rng = np.random.default_rng(33)
+        v_values = np.concatenate([np.linspace(-10.0, 10.0, 401), [-0.5 * gamma, 0.0],
+                                   rng.uniform(-10.0, 10.0, 500)])
+        ours, ref = analytic_boundaries(v_values, gamma), bloch_oracle.analytic_boundaries(v_values, gamma)
+        assert [list(r) for r in ours] == [list(r) for r in ref]
+        for a, b in zip(ours, ref):
+            assert np.array(list(a.values())).tobytes() == np.array(list(b.values())).tobytes(), a["V"]
+        assert any(math.isnan(r["gplus_c"]) for r in ours) and any(r["gplus_c"] > 0 for r in ours)
+
+    @staticmethod
+    def equator_roots(prm):
+        cands = (bloch_oracle.p1_candidates if prm.p == 1.0 else bloch_oracle.undriven_candidates)(prm)
+        return [r for r in cands if r[2] == 0.0]
+
+    def check_orbit(self, state, prm) -> str | None:
+        ours, ref = seed_orbit(state, prm), bloch_oracle.seed_orbit(state, prm)
+        kind = ours and ours.kind
+        assert kind == (ref and ref.kind), (prm, state)
+        if kind == "centre":
+            lift = analytic_p1(prm) if prm.p == 1.0 else np.array([0.0, 0.0, -1.0])
+            assert ours.point.tobytes() == lift.tobytes(), prm
+        if kind == "separatrix":
+            assert any(ours.point.tobytes() == r.tobytes() for r in self.equator_roots(prm)), prm
+        if kind in ("centre", "separatrix"):
+            # the oracle lifts with 1 - Xc^2 - Yc^2 and cuts at cos and sin of the angles
+            assert np.abs(ours.point - ref.point).max() <= 2e-15, prm
+        return kind
+
+    def test_seed_orbit_from_the_pole(self):
+        kinds = [self.check_orbit(SOUTH_POLE_SEED, prm) for prm in self.cells()
+                 if prm.p == 1.0 or (prm.g == 0.0 and prm.p > 0.0)]
+        assert len(kinds) > 600 and {"centre", "closed", None} <= set(kinds)
+
+    def test_seed_orbit_separatrices(self):
+        # states on the orbit through each equator root, a little before and
+        # after it in s, as in TestSeedOrbit.test_separatrix_ends_on_the_equator_root
+        rng = np.random.default_rng(34)
+        kinds = []
+        for k in range(400):
+            g, p = (float(rng.uniform(-3, 3)), 1.0) if k % 2 else (0.0, float(rng.uniform(0.02, 0.98)))
+            prm = ModelParams(V=float(rng.uniform(-8, 8)), g=g, p=p, Gamma=float(rng.uniform(0.5, 2.0)))
+            a = prm.Gamma / 8.0
+            m = np.array([[a, -p * prm.V / 2.0], [(2.0 * p - 1.0) * prm.V / 2.0, a]])
+            centre = np.linalg.solve(m, [0.0, p * g])
+            for root in self.equator_roots(prm):
+                for ds in (1e-2, -1e-2):
+                    xy = centre + scipy.linalg.expm(m * ds) @ (root[:2] - centre)
+                    if xy @ xy < 1.0:
+                        kinds.append(self.check_orbit(np.array([*xy, -math.sqrt(1.0 - xy @ xy)]), prm))
+        assert kinds.count("separatrix") > 200 and "centre" in kinds
+
+
 class TestTrajectory:
     def test_fixed_point_stays_fixed(self):
         traj = integrate_trajectory([0, 0, -1], ModelParams(V=2.5, g=0.8, p=0), 50.0)
@@ -831,6 +977,25 @@ class TestCompiledIntegrator:
         finally:
             tracemalloc.stop()
         assert grown < 200_000
+
+    def test_repeated_settle_runs_hold_no_memory(self):
+        # set_initial_value binds the integrator's step callback afresh on
+        # every run unless it is bound once, and the compiled code keeps
+        # each one it is handed: 64 bytes a run, 125 kB over these runs
+        prm = ModelParams(V=-5.0, g=-1.0, p=0.6)
+        s0 = np.array([0.0, 0.6, -0.8])
+        settle(s0, prm, 0.05)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2000):
+                settle(s0, prm, 0.05)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 32_000
 
     def test_failed_run_leaves_the_solver_usable(self):
         def fails(_t, _y):

@@ -134,14 +134,14 @@ class TestPhaseDiagram:
                 assert np.array_equal(fa.state, fb.state)
 
     def test_per_point_failures_isolate(self, monkeypatch):
-        real = meanfield_module._p1_candidates
+        real = meanfield_module._planar_candidates
 
         def flaky(params):
             if params.g == 1.0:
                 raise RuntimeError("synthetic failure")
             return real(params)
 
-        monkeypatch.setattr(meanfield_module, "_p1_candidates", flaky)
+        monkeypatch.setattr(meanfield_module, "_planar_candidates", flaky)
         grid = GridSpec(Axis("g", 0.5, 1.5, 3), None, ModelParams(V=-5, g=0, p=1))
         points = phase_diagram(grid, select_branch=False)
         assert [pt.error is not None for pt in points] == [False, True, False]
