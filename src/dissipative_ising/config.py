@@ -78,9 +78,9 @@ _COMMON = {
 # runner reads.  Where a task does not read one it is dropped on load,
 # its value unchecked, with one warning naming every dropped path.  The
 # numerics knobs among them each had one value in use, which the run
-# now fixes: settle windows of 200, the cycle check always on, the
-# bistable split 0.05, integrator tolerances 1e-10 and 1e-12 and the
-# limit-cycle transient fraction 0.5.
+# now fixes: settle windows of 200, cycle detection on (in mf-evolve;
+# branch selection runs none), the bistable split 0.05, integrator
+# tolerances 1e-10 and 1e-12 and the limit-cycle transient fraction 0.5.
 RETIRED_KEYS = (
     "rng_seed",
     "workers",

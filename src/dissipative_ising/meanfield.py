@@ -42,7 +42,9 @@ the closed-form fate of an orbit on p = 1 and g = 0,
 adaptive trajectory integration, settling that stops once a certified
 capture region of a stable point is entered, limit-cycle detection,
 and continuation sweeps along a parameter path.  The enumeration uses
-no random numbers.
+no random numbers.  Limit-cycle detection is a heuristic on a sampled
+trajectory and serves ``mf-evolve`` only: branch selection
+(``sweep._select_branch``) flags cycles from the closed form alone.
 
 Every integration is DOP853.  ``settle`` and so ``continuation_sweep``
 need only endpoints and run scipy's compiled DOP853 through

@@ -6,9 +6,11 @@ row-major over the grid no matter how many workers run, and every point
 is computed deterministically and apart from the rest of its block, so
 results are reproducible bit for bit at any worker count.  Branch
 selection and the mean-field hysteresis run at fixed settings: settle
-windows of ``SETTLE_WINDOW``, one cycle check where four of them neither
-capture nor converge the pole trajectory, and the bistable split
-``BRANCH_SPLIT_TOL``.
+windows of ``SETTLE_WINDOW``, at most ``_MAX_WINDOWS`` of them for the
+pole trajectory of a point with a stable point and four for one
+without, and the bistable split ``BRANCH_SPLIT_TOL``.  Limit cycles are
+flagged only where the closed form of the integrable lines proves the
+pole orbit closed; no cycle heuristic runs here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import InsufficientDataError, reason
+from .errors import reason
 from .liouville import (
     N_LIMIT,
     build_basis,
@@ -38,10 +40,8 @@ from .meanfield import (
     _capture,
     bloch_rhs,
     continuation_sweep,
-    detect_limit_cycle,
     find_fixed_points,
     find_fixed_points_many,
-    integrate_trajectory,
     seed_orbit,
     settle,
 )
@@ -69,6 +69,9 @@ BRANCH_SPLIT_TOL = 0.05
 # Length of one settle window: of branch selection and of each
 # mean-field hysteresis station.
 SETTLE_WINDOW = 200.0
+
+# Most settle windows of branch selection at a point with a stable point.
+_MAX_WINDOWS = 100
 
 
 @dataclass(frozen=True)
@@ -157,13 +160,17 @@ def _select_branch(params: ModelParams, stable: list[FixedPoint]):
     degenerates, or its centre is not a stable point, the schedule below
     runs.
 
-    Elsewhere the pole trajectory settles in up to four windows of
+    Elsewhere the pole trajectory settles in windows of
     ``SETTLE_WINDOW``.  A window ends as soon as the trajectory enters
     the certified capture region of a stable point, which then is the
-    selected branch.  A trajectory that is neither captured nor
-    converged after four windows selects NaN, and one cycle check from
-    its end sets the cycle flag, or gives the row's error where it
-    cannot tell.
+    selected branch; a converged trajectory selects the stable point it
+    lies at, or its own Z.  Where a stable point exists, windows follow
+    until capture or convergence, up to ``_MAX_WINDOWS``: the slowest
+    spirals into a weakly damped point near the equator take a few
+    dozen.  Where none exists nothing can capture the orbit, and four
+    windows are settled.  A trajectory still undecided selects NaN and
+    gives the row's error; the limit-cycle flag comes from the closed
+    form alone.
 
     Returns (selected Z, limit cycle, error).
     """
@@ -178,17 +185,14 @@ def _select_branch(params: ModelParams, stable: list[FixedPoint]):
         if z is not None:
             return z, False, None
     end, capture = SOUTH_POLE_SEED, _capture(stable, params)
-    for _ in range(4):
+    windows = _MAX_WINDOWS if stable else 4
+    for _ in range(windows):
         end = settle(end, params, SETTLE_WINDOW, capture=capture)
         if float(np.abs(bloch_rhs(end, params)).max()) < CONVERGED_TOL:
-            break
-    else:
-        try:
-            return math.nan, _detect_cycle_from(end, params), None
-        except InsufficientDataError as exc:
-            return math.nan, False, reason(exc)
-    z = _nearest_stable_z(end, stable)
-    return (float(end[2]) if z is None else z), False, None
+            z = _nearest_stable_z(end, stable)
+            return (float(end[2]) if z is None else z), False, None
+    return math.nan, False, (f"undecided: the pole orbit was neither captured nor converged "
+                             f"within {windows * SETTLE_WINDOW:g} time units")
 
 
 def _nearest_stable_z(state, stable: list[FixedPoint]) -> float | None:
@@ -198,16 +202,6 @@ def _nearest_stable_z(state, stable: list[FixedPoint]) -> float | None:
     dists = [np.linalg.norm(state - fp.state) for fp in stable]
     k = int(np.argmin(dists))
     return float(stable[k].state[2]) if dists[k] < 1e-3 else None
-
-
-def _detect_cycle_from(state, params: ModelParams) -> bool:
-    """Whether the flow from ``state`` ends on a limit cycle.
-
-    Raises InsufficientDataError when the trajectory window holds too
-    few oscillations to tell.
-    """
-    traj = integrate_trajectory(state, params, t_end=150.0, rel_tol=1e-9, abs_tol=1e-11)
-    return detect_limit_cycle(traj, transient_fraction=0.3) is not None
 
 
 def _failed_row(index, params: ModelParams, exc: Exception) -> PhasePoint:
@@ -342,10 +336,12 @@ def phase_diagram(
 def multistability_map(grid: GridSpec, workers: int = 1) -> list[PhasePoint]:
     """Stable-solution counts over a (g, p) grid at fixed V.
 
-    Branch selection is skipped (only counts and cycle flags matter),
-    which keeps large scans cheap.  A point with no stable fixed point
-    still runs the pole-selection schedule of ``_select_branch`` for its
-    cycle flag.
+    Branch selection is skipped (only counts matter), which keeps large
+    scans cheap.  A point with no stable fixed point still runs
+    ``_select_branch``: on the integrable lines its closed form sets the
+    ``limit_cycle`` flag of a closed pole orbit, and elsewhere up to four
+    settle windows give the Z the orbit converges to, or the row's
+    "undecided" error.
     """
     names = {grid.axis1.name} | ({grid.axis2.name} if grid.axis2 else set())
     if not names <= {"g", "p"}:

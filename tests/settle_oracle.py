@@ -3,11 +3,14 @@
 This is the plain route to the branch reached from the south pole:
 settle for up to four full windows without any capture region and
 accept the endpoint only once its residual is below 1e-8, then run the
-cycle check on every point that did not converge.  Off the integrable
-lines p = 1 and g = 0, which it decides in closed form, the library
-(``sweep._select_branch``) differs from this only by capture: it stops
-settling as soon as the trajectory enters the certified capture region
-of a stable point.  The tests compare the two.
+cycle check on every point that did not converge: a 150-unit trajectory
+from the end of the fourth window, read by the heuristic
+``detect_limit_cycle``.  Off the integrable lines p = 1 and g = 0,
+which it decides in closed form, the library (``sweep._select_branch``)
+differs from this by capture (it stops settling as soon as the
+trajectory enters the certified capture region of a stable point), by
+settling on past four windows where a stable point exists, and by
+running no cycle check.  The tests compare the two.
 
 ``norm_bound_level`` is the level of that region as it was first built,
 from norm bounds alone; the tests check that today's level never falls
@@ -27,11 +30,13 @@ from dissipative_ising.meanfield import (
     ModelParams,
     _jacobian_many,
     bloch_rhs,
+    detect_limit_cycle,
     find_fixed_points,
+    integrate_trajectory,
     jacobian,
     settle,
 )
-from dissipative_ising.sweep import SOUTH_POLE_SEED, _detect_cycle_from
+from dissipative_ising.sweep import SOUTH_POLE_SEED
 
 
 def four_window_selection(params: ModelParams, stable: list[FixedPoint], settle_time: float):
@@ -53,18 +58,28 @@ def four_window_selection(params: ModelParams, stable: list[FixedPoint], settle_
     return float(end[2]), end, True
 
 
+def detect_cycle_from(state, params: ModelParams) -> bool:
+    """Whether the flow from ``state`` ends on a limit cycle, by the heuristic.
+
+    Raises InsufficientDataError when the trajectory window holds too
+    few oscillations to tell.
+    """
+    traj = integrate_trajectory(state, params, t_end=150.0, rel_tol=1e-9, abs_tol=1e-11)
+    return detect_limit_cycle(traj, transient_fraction=0.3) is not None
+
+
 def oracle_row(params: ModelParams, settle_time: float = 200.0):
     """(stable_count, selected_Z, limit_cycle, error) of a phase-diagram row.
 
-    The row that ``sweep.phase_diagram`` writes with branch selection and
-    cycle detection on.
+    The row that ``sweep.phase_diagram`` wrote with branch selection on
+    while four windows and the cycle check decided it.
     """
     stable = [fp for fp in find_fixed_points(params) if fp.stable]
     selected_z, end, converged = four_window_selection(params, stable, settle_time)
     limit_cycle, error = False, None
     if not converged:
         try:
-            limit_cycle = _detect_cycle_from(end, params)
+            limit_cycle = detect_cycle_from(end, params)
         except InsufficientDataError as exc:
             error = f"{type(exc).__name__}: {exc}"
     return len(stable), selected_z, limit_cycle, error

@@ -24,6 +24,33 @@ from test_meanfield import same_fixed_points
 FIXED = ModelParams(V=-5, g=0, p=0)
 
 
+def count_settle_windows(monkeypatch) -> list[float]:
+    """The lengths of the settle windows ``sweep`` runs from now on, as they run."""
+    windows = []
+
+    def settled(initial, params, settle_time, **kwargs):
+        windows.append(settle_time)
+        return settle(initial, params, settle_time, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "settle", settled)
+    return windows
+
+
+def long_settle_distance(pt, settle_time: float) -> float:
+    """Max-abs distance from a settle of the pole with no capture to the selected root.
+
+    A reflected pair of roots can share the selected Z; the nearer counts.
+    """
+    end = settle(SOUTH_POLE_SEED, pt.params, settle_time)
+    roots = [fp.state for fp in pt.stable_points if fp.state[2] == pt.selected_Z]
+    return min(np.abs(end - root).max() for root in roots)
+
+
+def is_bare_nan(pt) -> bool:
+    """A row that selects NaN with no cycle flag and no reason."""
+    return math.isnan(pt.selected_Z) and not pt.limit_cycle and pt.error is None
+
+
 class TestGridSpec:
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -173,14 +200,16 @@ class TestPhaseDiagram:
                 assert same_fixed_points(a.stable_points, b.stable_points)
                 assert np.array_equal(a.selected_Z, b.selected_Z, equal_nan=True)
 
-    def test_undecided_cycle_check_records_reason(self):
+    def test_undecided_selection_records_reason(self):
         # at V=0, g=1, p=1, Gamma=8 the planar centre lies on the equator, where
-        # the closed form of the pole orbit degenerates: the trajectory creeps
-        # toward that marginal root, and the cycle window sees no oscillation
+        # the closed form of the pole orbit degenerates, and there is no stable
+        # point: the trajectory creeps toward that marginal root, four windows
+        # neither capture nor converge it, and the row says so
         grid = GridSpec(Axis("g", 1.0, 2.0, 2), None, ModelParams(V=0, g=0, p=1, Gamma=8))
         point = multistability_map(grid)[0]
-        assert point.error == "InsufficientDataError: window holds no complete oscillation"
-        assert point.stable_count == 0 and not point.limit_cycle
+        assert point.error == ("undecided: the pole orbit was neither captured nor converged "
+                               "within 800 time units")
+        assert point.stable_count == 0 and not point.limit_cycle and math.isnan(point.selected_Z)
 
     def test_undriven_pole_orbit_is_closed(self):
         # at V=-5, g=0, p=0.2 the pole is a saddle of the planar flow: the
@@ -190,67 +219,93 @@ class TestPhaseDiagram:
             assert point.stable_count == 0 and point.limit_cycle
             assert point.error is None and math.isnan(point.selected_Z)
 
-    # (params, select_branch) -> the settle windows ("settle") and cycle
-    # checks ("check") of the pole-selection schedule, in order
+    # (params, select_branch) -> the number of settle windows of the
+    # pole-selection schedule
     SCHEDULES = {
         # on the integrable lines p = 1 and g = 0 the closed form decides:
         # a closed orbit with no stable point, at p = 1 and at g = 0
-        "seed_cycle": ((-1.0, -1.05, 1.0), True, []),
-        "undecided_seed": ((-5.0, 0.0, 0.2), True, []),
+        "seed_cycle": ((-1.0, -1.05, 1.0), True, 0),
+        "undecided_seed": ((-5.0, 0.0, 0.2), True, 0),
         # a stable focus that the pole orbit spirals into
-        "captured": ((-5.0, 0.8, 1.0), True, []),
+        "captured": ((-5.0, 0.8, 1.0), True, 0),
         # no selection asked for, and a stable point: nothing runs
-        "no_selection": ((-5.0, 0.8, 1.0), False, []),
-        # a stable point the pole does not reach in four windows, and no
-        # cycle: the windows, then one check from their end.  Just past the
-        # pole exchange g- = 0.0063 at p = 0 the pole spirals into a stable
-        # pair with tangent eigenvalues of real part -0.001
-        "stable_uncaptured": ((-5.0, 0.0197, 0.0), True, ["settle"] * 4 + ["check"]),
+        "no_selection": ((-5.0, 0.8, 1.0), False, 0),
+        # a stable point that four windows do not reach: the windows go on
+        # until capture.  Just past the pole exchange g- = 0.0063 at p = 0
+        # the pole spirals into a stable pair with tangent eigenvalues of
+        # real part -0.001
+        "stable_uncaptured": ((-5.0, 0.0197, 0.0), True, 26),
         # a stable point captured in window 0
-        "captured_interior": ((-5.0, 0.8, 0.5), True, ["settle"]),
+        "captured_interior": ((-5.0, 0.8, 0.5), True, 1),
         # no selection asked for, and a stable point: nothing runs
-        "no_selection_interior": ((-5.0, 0.8, 0.5), False, []),
+        "no_selection_interior": ((-5.0, 0.8, 0.5), False, 0),
     }
 
     @pytest.mark.parametrize("case", list(SCHEDULES))
     def test_selection_schedule(self, monkeypatch, case):
         (v, g, p), select_branch, expected = self.SCHEDULES[case]
         prm = ModelParams(V=v, g=g, p=p)
-        log = []
-
-        def settled(*args, **kwargs):
-            log.append("settle")
-            assert args[2] == 200.0
-            return settle(*args, **kwargs)
-
-        def checked(*args, **kwargs):
-            log.append("check")
-            return real_check(*args, **kwargs)
-
-        real_check = sweep_module._detect_cycle_from
-        monkeypatch.setattr(sweep_module, "settle", settled)
-        monkeypatch.setattr(sweep_module, "_detect_cycle_from", checked)
+        windows = count_settle_windows(monkeypatch)
         pt = sweep_module._mf_point(((0, 0), prm, select_branch))
-        assert log == expected
-        if select_branch and g != 0.0:
+        assert windows == [200.0] * expected
+        if case == "stable_uncaptured":
+            # the four-window oracle leaves this row NaN; a long settle with
+            # no capture region ends at the selected root (the stable point
+            # decays at rate 0.00099, so this takes 32 decay times)
+            assert pt.error is None and not pt.limit_cycle
+            assert long_settle_distance(pt, 32000.0) < 1e-13
+        elif select_branch and g != 0.0:
             # the row is the whole-window one, its error included (at g = 0
             # see TestSelectionOracle)
             count, z, cycle, error = oracle_row(prm)
             assert (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error)
             assert pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
 
-    def test_cycle_check_failures_isolate(self, monkeypatch):
-        def broken(traj, transient_fraction):
-            raise RuntimeError("synthetic failure")
+    @pytest.mark.parametrize("v, g, expected", [
+        (-7.25, 0.125, 5),  # fig3a_phase_p0
+        (-5.0, np.linspace(0.001, 3.0, 161)[4], 5),  # fig1_p0_branches, g = 0.075975
+    ])
+    def test_slow_spiral_selects_the_long_settle_root(self, monkeypatch, v, g, expected):
+        # four windows neither capture nor converge these p = 0 pole orbits;
+        # the fifth captures them at the root a settle with no capture ends at
+        prm = ModelParams(V=v, g=float(g), p=0.0)
+        windows = count_settle_windows(monkeypatch)
+        pt = sweep_module._mf_point(((0, 0), prm, True))
+        assert len(windows) == expected
+        assert pt.error is None and not pt.limit_cycle and pt.stable_count == 2
+        assert long_settle_distance(pt, 20000.0) < 1e-13
 
-        monkeypatch.setattr(sweep_module, "detect_limit_cycle", broken)
-        # short windows for speed: the pole trajectory is not captured in
-        # four of them at either point, so the cycle check runs
-        monkeypatch.setattr(sweep_module, "SETTLE_WINDOW", 20.0)
-        grid = GridSpec(Axis("g", -3.0, -2.9, 2), None, ModelParams(V=-5, g=0, p=0.9))
+    def test_convergence_with_no_stable_point_selects_its_z(self, monkeypatch):
+        # at V=-0.5, g=0.125, p=0 nothing is stable, and the pole orbit
+        # converges onto the non-hyperbolic south pole within four windows
+        windows = count_settle_windows(monkeypatch)
+        pt = sweep_module._mf_point(((0, 0), ModelParams(V=-0.5, g=0.125, p=0.0), True))
+        assert pt.stable_count == 0 and len(windows) <= 4
+        assert pt.selected_Z == -1.0 and pt.error is None and not pt.limit_cycle
+
+    def test_phase_select_cells_take_at_most_four_windows(self, monkeypatch):
+        # the 16 cells of the mf_phase_select benchmark workload: none
+        # settles past the fourth window, so the longer schedule of slow
+        # spirals does not reach them
+        for p, g in itertools.product(np.linspace(0.1, 1.0, 4), np.linspace(-1.05, 0.3, 4)):
+            prm = ModelParams(V=-1.0, g=float(g), p=float(p))
+            windows = count_settle_windows(monkeypatch)
+            pt = sweep_module._mf_point(((0, 0), prm, True))
+            assert len(windows) <= 4, prm
+            assert not is_bare_nan(pt), prm
+
+    def test_settle_failures_isolate(self, monkeypatch):
+        def flaky(initial, params, *args, **kwargs):
+            if params.g == 1.0:
+                raise RuntimeError("synthetic failure")
+            return settle(initial, params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "settle", flaky)
+        grid = GridSpec(Axis("g", 0.5, 1.5, 3), None, ModelParams(V=-5, g=0, p=0.5))
         points = phase_diagram(grid)
-        for pt in points:
-            assert pt.error == "RuntimeError: synthetic failure"
+        assert [pt.error for pt in points] == [None, "RuntimeError: synthetic failure", None]
+        for pt in points[::2]:
+            assert pt.stable_count > 0 and not math.isnan(pt.selected_Z)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -272,8 +327,9 @@ class TestPhaseDiagram:
 class TestSelectionOracle:
     """Capture against whole-window selection.
 
-    Off the integrable lines, which the closed form decides, capture is
-    the only difference between the library and the oracle.
+    Off the integrable lines, which the closed form decides, the library
+    differs from the oracle only by capture, by settling on past four
+    windows where a stable point exists, and by running no cycle check.
     """
 
     GRID = list(itertools.product(
@@ -282,12 +338,23 @@ class TestSelectionOracle:
         (-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.5),
     ))
 
-    def test_matches_four_window_oracle(self):
-        changed, closed = [], []
+    @pytest.fixture(scope="class")
+    def rows(self):
+        """(params, oracle row, library row) at each grid point."""
+        rows = []
         for v, p, g in self.GRID:
             prm = ModelParams(V=v, g=g, p=p)
-            count, z, cycle, error = oracle_row(prm)
-            pt = sweep_module._mf_point(((0, 0), prm, True))
+            rows.append((prm, oracle_row(prm), sweep_module._mf_point(((0, 0), prm, True))))
+        return rows
+
+    def test_no_bare_nan_row(self, rows):
+        # every NaN row is a closed orbit or says why
+        assert [prm for prm, _oracle, pt in rows if is_bare_nan(pt)] == []
+
+    def test_matches_four_window_oracle(self, rows):
+        changed, closed = [], []
+        for prm, (count, z, cycle, error), pt in rows:
+            v, p, g = prm.V, prm.p, prm.g
             same_z = pt.selected_Z == z or (math.isnan(pt.selected_Z) and math.isnan(z))
             if (pt.stable_count, pt.limit_cycle, pt.error) == (count, cycle, error) and same_z:
                 continue
@@ -313,10 +380,7 @@ class TestSelectionOracle:
             # a slow relaxation onto the captured root that four windows
             # were too short to finish
             assert not pt.limit_cycle and pt.error is None
-            end = settle(SOUTH_POLE_SEED, prm, 6000.0)
-            # (a reflected pair of roots can share the selected Z)
-            roots = [fp.state for fp in pt.stable_points if fp.state[2] == pt.selected_Z]
-            assert min(np.abs(end - root).max() for root in roots) < 1e-13, prm
+            assert long_settle_distance(pt, 6000.0) < 1e-13, prm
 
 
 class TestIntegrableLines:
@@ -328,7 +392,6 @@ class TestIntegrableLines:
             raise AssertionError("integrated on an integrable line")
 
         monkeypatch.setattr(sweep_module, "settle", refuse)
-        monkeypatch.setattr(sweep_module, "_detect_cycle_from", refuse)
 
     def test_p1_subgrid_matches_whole_window_oracle(self, monkeypatch):
         self.no_integration(monkeypatch)
