@@ -59,6 +59,12 @@ coordinates make L a band matrix with half-bandwidths 2(N + 1) + 2
   ``evolve_rho`` and ``ramped_evolution``).  The steps are not bound by
   the stiffness of L, whose eigenvalues reach |lambda| = 27 to 37 at
   N = 30.
+
+ARPACK (scipy.sparse.linalg) loads on first use: ``eigs`` is a module
+attribute that imports scipy's on the first call, because only the gap
+above ``DENSE_N_MAX`` spins calls it and its import would otherwise
+cost every process, sweep workers included, at start-up.  The code
+calls it by this name, so a caller can still replace it.
 """
 
 from __future__ import annotations
@@ -71,10 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import IntegrationError, SolverError
-from .meanfield import ModelParams
+from .meanfield import ModelParams, _on_first_call
 from .operators import DickeBasis, build_basis, op_cartesian, op_ladder
 
 __all__ = [
@@ -114,6 +119,9 @@ N_LIMIT = 200
 # max(max-abs entry, 1): an absolute 1e-12 for every density matrix,
 # whose entries are at most 1 in modulus.
 HERMITIAN_TOL = 1e-12
+
+eigs = _on_first_call("scipy.sparse.linalg", "eigs")
+
 _SQRT2 = np.sqrt(2.0)
 # propagate's shift-and-invert Krylov exponential (``_exponential``).  The
 # shift gamma is this fraction of the interval.  Of fractions from 0.005
@@ -624,6 +632,8 @@ def _inverse_eigenvalues(solve, n: int, sector: str) -> np.ndarray:
     repeated runs are bit-identical.  An ARPACK failure raises
     ``SolverError``; nothing is retried.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator
+
     k = min(GAP_K - 1, n - 2)
     if k < 1:
         raise SolverError(f"{sector} of dimension {n} is too small for the iterative gap")

@@ -51,6 +51,16 @@ need only endpoints and run scipy's compiled DOP853 through
 ``_dop853``; ``integrate_trajectory`` keeps ``solve_ivp`` for its dense
 output, which the compiled code does not expose.
 
+scipy's integrators and root finder load on first use.  ``ode`` and
+``solve_ivp`` (scipy.integrate) and ``brentq`` (scipy.optimize) are
+module attributes that import their scipy function on the first call
+(``_on_first_call``).  Only settling, trajectories and the closed-form
+fate of an orbit call them, and their import costs about 0.15 s and
+20 MB in every process that loads this module, sweep workers included,
+while the fixed-point search, the quantum tasks and grids without
+branch selection never call them.  The code calls them by these names,
+so a caller can still replace them.
+
 Bloch vectors are plain length-3 float arrays (X, Y, Z) throughout.
 """
 
@@ -58,16 +68,39 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import InsufficientDataError, IntegrationError, NotAFixedPointError
+
+
+def _on_first_call(module: str, name: str):
+    """``module.name``, imported on the first call and forwarded to.
+
+    Keeps a part of scipy that only some tasks use out of start-up.
+    The returned callable is a module attribute that code calls by name,
+    so a caller can still replace that attribute.
+    """
+    fn = None
+
+    def call(*args, **kwargs):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(importlib.import_module(module), name)
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+ode = _on_first_call("scipy.integrate", "ode")
+solve_ivp = _on_first_call("scipy.integrate", "solve_ivp")
+brentq = _on_first_call("scipy.optimize", "brentq")
 
 __all__ = [
     "ModelParams",

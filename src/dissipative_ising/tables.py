@@ -31,6 +31,17 @@ class Table:
 
 def format_cell(value) -> str:
     """Deterministic text form: bools as 0/1, floats at 17 significant digits."""
+    # the exact built-in types first, each given the text the isinstance
+    # chain below gives it; numpy scalars and subclasses take the chain
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "1" if value else "0"
     if value is None:
         return ""
     if isinstance(value, str):

@@ -328,6 +328,41 @@ class TestWriteTable:
         for value, text in cases:
             assert format_cell(value) == text, repr(value)
 
+    def test_exact_type_dispatch_matches_isinstance_chain(self, tmp_path):
+        def oracle(value):
+            # format_cell before it dispatched on the exact type
+            if value is None:
+                return ""
+            if isinstance(value, str):
+                return value
+            if isinstance(value, (bool, np.bool_)):
+                return "1" if value else "0"
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return format(float(value), ".17g")
+
+        class Flag(int):
+            pass
+
+        values = [
+            -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            2.2250738585072009e-308, 1.7976931348623157e308, 1 / 3, -1.0e-17, 2.0,
+            np.float64(-0.0), np.float64(math.nan), np.float64(5e-324), np.float64(1 / 3),
+            np.float32(0.1), np.int64(-7), np.int64(2**63 - 1), np.int32(3), np.uint8(255),
+            np.bool_(True), np.bool_(False), True, False, None, 0, -1, 2**70, Flag(4),
+            "", "a,b", 'say "x", y',
+        ]
+        for value in values:
+            assert format_cell(value) == oracle(value), repr(value)
+        # and the written file, quoting included, is the oracle's byte for byte
+        table = Table(columns=["v", "w"], rows=[[v, v] for v in values])
+        write_table(table, tmp_path / "t.csv")
+        with open(tmp_path / "o.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table.columns)
+            writer.writerows([oracle(v), oracle(v)] for v in values)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         table = Table(columns=["x", "y"])
         table.append(math.pi, -1.0e-17)
