@@ -16,6 +16,19 @@ the closed forms all read them from there.
 Total angular momentum conservation keeps on-sphere initial data on the
 unit sphere: d(r^2)/dt = 2 a Z (r^2 - 1) vanishes at r = 1.
 
+Linear stability is closed-form, from three facts about the Jacobian J:
+
+    trace J = 4 a Z, since J's diagonal is (a Z, a Z, 2 a Z);
+    at a root on the unit sphere 2 a Z is the radial eigenvalue: the
+        sphere is invariant, so s^T J = 2 a Z s^T at r = 1;
+    the two tangent eigenvalues then have sum 2 a Z and product
+        det_T = M2 - (2 a Z)^2, with M2 the sum of J's principal 2x2
+        minors, so lambda_T = a Z +/- sqrt((a Z)^2 - det_T).
+
+So a root on the sphere is stable iff Z < 0 and det_T > 0 (within the
+STABILITY_TOL margins); a fold has det_T = 0 and a Hopf point needs
+Z = 0, on the equator.
+
 On the lines p = 1 and g = 0, c0 = d0 = 0, so dX/dt and dY/dt share the
 factor Z: with ds = Z dt the planar flow of (X, Y) is affine-linear,
 
@@ -35,9 +48,9 @@ This module provides the right-hand side and its analytic Jacobian,
 closed-form steady states for the two limiting orientations p = 1 and
 p = 0, an exact enumeration of the fixed points on the sphere (closed
 forms at p = 0, p = 1 and g = 0, elimination of X and Y to a polynomial
-of degree <= 6 in Z elsewhere) with linear stability classification,
-which runs over a whole list of parameter sets in one stacked pass
-whose rows do not depend on each other,
+of degree <= 6 in Z elsewhere) with closed-form linear stability
+classification, which runs over a whole list of parameter sets in one
+stacked pass whose rows do not depend on each other,
 the closed-form fate of an orbit on p = 1 and g = 0,
 adaptive trajectory integration, settling that stops once a certified
 capture region of a stable point is entered, limit-cycle detection,
@@ -222,10 +235,14 @@ class _ParamRows:
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """A root of the Bloch flow with its linear stability verdict.
+    """A root of the Bloch flow on the unit sphere with its linear stability verdict.
 
-    ``stable`` is True iff every Jacobian eigenvalue has real part
-    below -STABILITY_TOL; eigenvalues within +/-STABILITY_TOL of the
+    ``eigenvalues`` are the Jacobian's, in the closed form of the module
+    docstring (the radial 2 a Z and the tangent pair), sorted by
+    descending real part, then ascending imaginary part; they are real
+    where the tangent pair is.  ``stable`` is True iff every eigenvalue
+    has real part below -STABILITY_TOL, that is iff Z < 0 and det_T > 0
+    within that margin; eigenvalues within +/-STABILITY_TOL of the
     imaginary axis flag the point as ``marginal`` instead.
     """
 
@@ -345,6 +362,19 @@ def _jacobian_many(states: np.ndarray, params: ModelParams | _ParamRows) -> np.n
     return jac
 
 
+def _cofactors(jac: np.ndarray) -> np.ndarray:
+    """Row k of each 3x3 in ``jac`` is r_(k+1) x r_(k+2), column k of det(J) J^-1.
+
+    Entry (k, k) is J's principal 2x2 minor without row and column k.
+    """
+    return np.cross(jac[:, [1, 2, 0]], jac[:, [2, 0, 1]])
+
+
+def _on_sphere(states: np.ndarray) -> np.ndarray:
+    """Whether each state of a stack (n, 3) lies within ``_SPHERE_TOL`` of the unit sphere."""
+    return np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
+
+
 def jacobian(state, params: ModelParams) -> np.ndarray:
     """3x3 Jacobian matrix of the Bloch flow at ``state``."""
     state = np.asarray(state, dtype=float)
@@ -431,50 +461,55 @@ def analytic_boundaries(v_values, gamma: float = 1.0) -> list[dict]:
 
 
 def _classify(states: np.ndarray, rows: _ParamRows, residuals) -> list[FixedPoint]:
-    """Linear stability of a stack of roots, each row under its own parameters.
+    """Linear stability of a stack of roots on the unit sphere, each row under its own parameters.
 
-    Rows do not depend on each other.  A stacked ``eigvals`` returns
-    complex values for every row once any row's spectrum is complex, so
-    each row's eigenvalues are cast back to real where its own spectrum
-    is real, as a call on that row alone returns them.
+    The eigenvalues are the module docstring's closed form, 2 a Z and
+    a Z +/- sqrt(disc) with disc = (a Z)^2 - det_T, in descending real
+    part, then ascending imaginary part.  A row's eigenvalues are real
+    where its disc >= 0 and complex otherwise.  Rows do not depend on
+    each other.
     """
-    eigs = np.linalg.eigvals(_jacobian_many(states, rows))
+    jac = _jacobian_many(states, rows)
+    az, radial = jac[:, 0, 0], jac[:, 2, 2]
+    disc = az * az - (np.einsum("nii->n", _cofactors(jac)) - radial * radial)
+    real = disc >= 0.0
+    shift = np.sqrt(np.abs(disc))
+    pair = np.where(real, shift, 1j * shift)
+    eigs = np.stack([radial, az + pair, az - pair], axis=-1)
     eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, -eigs.real), axis=-1), axis=-1)
     max_re = eigs.real.max(axis=-1)
     stable = max_re < -STABILITY_TOL
     marginal = ~stable & (max_re <= STABILITY_TOL)
-    complex_spectrum = eigs.imag.any(axis=-1)
     return [
-        FixedPoint(
-            state=state.copy(),
-            eigenvalues=row.copy() if cplx else row.real.copy(),
-            stable=s,
-            marginal=m,
-            residual=float(residual),
-        )
-        for state, row, s, m, cplx, residual in zip(
-            states, eigs, stable.tolist(), marginal.tolist(), complex_spectrum.tolist(), residuals)
+        FixedPoint(state.copy(), row.real.copy() if r else row.copy(), s, m, float(residual))
+        for state, row, r, s, m, residual in zip(
+            states, eigs, real.tolist(), stable.tolist(), marginal.tolist(), residuals)
     ]
 
 
 def classify_stability(state, params: ModelParams, root_tol: float = 1e-8) -> FixedPoint:
-    """Linear stability of a fixed point via the Jacobian spectrum.
+    """Linear stability of a fixed point on the unit sphere, in closed form.
 
     This is the classification of :func:`find_fixed_points_many` on a
-    stack of one root.
+    stack of one root.  The closed form holds on the sphere only.
 
     Raises
     ------
     NotAFixedPointError
-        If the max-abs Bloch residual at ``state`` exceeds ``root_tol``.
+        If the max-abs Bloch residual at ``state`` exceeds ``root_tol``,
+        or ``state`` lies more than ``_SPHERE_TOL`` off the unit sphere.
     """
-    state = np.asarray(state, dtype=float)
-    residual = float(np.abs(bloch_rhs(state, params)).max())
+    state = np.asarray(state, dtype=float)[None, :]
+    residual = float(np.abs(_rhs_many(state, params)).max())
     if residual > root_tol:
         raise NotAFixedPointError(
             f"residual {residual:.3e} exceeds root tolerance {root_tol:.1e}"
         )
-    return _classify(state[None, :], _ParamRows.of([params]), [residual])[0]
+    if not _on_sphere(state)[0]:
+        raise NotAFixedPointError(
+            f"|s| = {np.linalg.norm(state):.12g} is off the unit sphere by more than {_SPHERE_TOL:.0e}"
+        )
+    return _classify(state, _ParamRows.of([params]), [residual])[0]
 
 
 def _planar_flow(params: ModelParams):
@@ -706,8 +741,7 @@ def _polish(states: np.ndarray, rows: _ParamRows) -> tuple[np.ndarray, np.ndarra
     best, best_res = states.copy(), np.abs(f).max(axis=1)
     for _ in range(_POLISH_STEPS):
         jac = _jacobian_many(current, rows)
-        # row k of adj is column k of det(J) J^-1
-        adj = np.cross(jac[:, [1, 2, 0]], jac[:, [2, 0, 1]])
+        adj = _cofactors(jac)
         det = np.einsum("ni,ni->n", jac[:, 0], adj[:, 0])
         # written as "not above" so that a NaN Jacobian takes the pseudo-inverse too
         singular = ~(np.abs(det) > rcond * np.sqrt(np.einsum("nij,nij->n", jac, jac)) ** 3)
@@ -744,8 +778,7 @@ def find_fixed_points_many(params_seq) -> list[list[FixedPoint]]:
     finite = np.isfinite(cands).all(axis=1)
     cands, cell = cands[finite], cell[finite]
     states, res = _polish(cands, rows.take(cell))
-    on_sphere = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= _SPHERE_TOL
-    keep = np.flatnonzero(on_sphere & (res <= ROOT_TOL))
+    keep = np.flatnonzero(_on_sphere(states) & (res <= ROOT_TOL))
     kept, kept_res = states[keep].tolist(), res[keep].tolist()
     # per cell, indices into keep of its distinct roots
     found: list[list[int]] = [[] for _ in params_seq]

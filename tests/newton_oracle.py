@@ -5,6 +5,12 @@ starting points on the unit sphere and a damped Newton iteration on the
 raw 3-component residual.  It can find roots but never prove that none
 were missed, so the library enumerates roots exactly by elimination
 (``meanfield.find_fixed_points``) and the tests compare the two.
+
+``eigvals_classify`` is the oracle's own stability classification: the
+Jacobian spectrum from a stacked general-purpose ``eigvals``, where the
+library uses the closed form on the invariant sphere.  It also holds off
+the sphere, where the Newton search keeps roots the library does not
+list.
 """
 
 from __future__ import annotations
@@ -14,12 +20,41 @@ import numpy as np
 from dissipative_ising.meanfield import (
     DEDUP_TOL,
     ROOT_TOL,
+    STABILITY_TOL,
     FixedPoint,
     ModelParams,
     _jacobian_many,
     _rhs_many,
-    classify_stability,
 )
+
+
+def eigvals_classify(states: np.ndarray, params, residuals) -> list[FixedPoint]:
+    """Linear stability of a stack of roots from the Jacobian spectrum.
+
+    ``params`` is a ``ModelParams`` or the ``meanfield._ParamRows`` of
+    the rows.  The eigenvalues are sorted by descending real part, then
+    ascending imaginary part.  A stacked ``eigvals`` returns complex
+    values for every row once any row's spectrum is complex, so each
+    row's eigenvalues are cast back to real where its own spectrum is
+    real, as a call on that row alone returns them.
+    """
+    eigs = np.linalg.eigvals(_jacobian_many(states, params))
+    eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, -eigs.real), axis=-1), axis=-1)
+    max_re = eigs.real.max(axis=-1)
+    stable = max_re < -STABILITY_TOL
+    marginal = ~stable & (max_re <= STABILITY_TOL)
+    complex_spectrum = eigs.imag.any(axis=-1)
+    return [
+        FixedPoint(
+            state=state.copy(),
+            eigenvalues=row.copy() if cplx else row.real.copy(),
+            stable=s,
+            marginal=m,
+            residual=float(residual),
+        )
+        for state, row, s, m, cplx, residual in zip(
+            states, eigs, stable.tolist(), marginal.tolist(), complex_spectrum.tolist(), residuals)
+    ]
 
 
 def newton_fixed_points(
@@ -38,7 +73,8 @@ def newton_fixed_points(
     step, so it tolerates the singular Jacobians that occur on marginal
     manifolds.  Converged roots (max-abs residual below ``root_tol``)
     are deduplicated at distance ``dedup_tol`` in seed order and
-    classified.  Roots off the unit sphere are kept.
+    classified by ``eigvals_classify``.  Roots off the unit sphere are
+    kept.
 
     Returns stable points first, then the rest, each group ordered by
     (Z, X, Y).
@@ -104,6 +140,7 @@ def newton_fixed_points(
         else:
             unique.append((st, r))
 
-    points = [classify_stability(st, params, root_tol=10 * root_tol) for st, _ in unique]
+    points = eigvals_classify(np.array([st for st, _ in unique]).reshape(-1, 3), params,
+                              [r for _, r in unique])
     points.sort(key=lambda fp: (not fp.stable, fp.state[2], fp.state[0], fp.state[1]))
     return points

@@ -405,6 +405,27 @@ class TestCliRuns:
         x, y, z = (float(stable_rows[0][header.index(c)]) for c in ("X", "Y", "Z"))
         assert (x, y, z) == pytest.approx((-0.39900, 0.01995, -0.91673), abs=5e-6)
 
+    @pytest.mark.parametrize("v, p, zero", [(-1.0, 0.5, "0"), (-0.5, 0.0, "-0")])
+    def test_nilpotent_equator_roots_listed_marginal(self, tmp_path, v, p, zero):
+        # the equator roots +/-(1, -1, 0)/sqrt(2) at g = 0, whose Jacobian
+        # is nilpotent: all eigenvalues 0, with Z = -0 and so -0 real parts
+        # at p = 0
+        cfg_path = write_yaml(tmp_path / "cfg.yaml",
+                              {"task": "mf-fixed-points", "model": {"V": v, "g": 0.0, "p": p}})
+        out = tmp_path / "out"
+        assert main([cfg_path, "--output-dir", str(out)]) == 0
+        rows = read_csv(out / "fixed_points.csv")
+        header = rows[0]
+        equator = [dict(zip(header, r)) for r in rows[1:] if float(r[header.index("Z")]) == 0.0]
+        assert [(r["X"], r["Y"], r["Z"]) for r in equator] == [
+            ("-0.70710678118654757", "0.70710678118654757", zero),
+            ("0.70710678118654757", "-0.70710678118654757", zero),
+        ]
+        for r in equator:
+            assert (r["stable"], r["marginal"]) == ("0", "1")
+            assert [r[f"eig{k}_{part}"] for k in (1, 2, 3) for part in ("re", "im")] == [
+                zero, "0", "0", "0", zero, "0"]
+
     def test_mf_evolve_task(self, tmp_path):
         cfg_path = write_yaml(
             tmp_path / "cfg.yaml",

@@ -46,7 +46,7 @@ from dissipative_ising.meanfield import (
 )
 import bloch_oracle
 from dissipative_ising.sweep import SOUTH_POLE_SEED
-from newton_oracle import newton_fixed_points
+from newton_oracle import eigvals_classify, newton_fixed_points
 from settle_oracle import norm_bound_level
 
 
@@ -247,6 +247,90 @@ class TestClassifyStability:
     def test_rejects_non_fixed_point(self):
         with pytest.raises(NotAFixedPointError):
             classify_stability([0.3, 0.3, 0.3], ModelParams(V=-5, g=1, p=1))
+
+    def test_rejects_root_off_the_sphere(self):
+        # an exact root on the p = 1 line Y = a/(p g) of the plane Z = 0,
+        # half-way inside the sphere, where the closed form does not hold
+        prm = ModelParams(V=2.0, g=-1.0, p=1.0, Gamma=0.5)
+        state = [-0.5, -0.0625, 0.0]
+        assert not bloch_rhs(state, prm).any()
+        with pytest.raises(NotAFixedPointError, match="off the unit sphere"):
+            classify_stability(state, prm)
+
+    @pytest.mark.parametrize("v, p, zero", [(-1.0, 0.5, 0.0), (-0.5, 0.0, -0.0)])
+    def test_nilpotent_equator_roots_are_marginal(self, v, p, zero):
+        # at g = 0 the equator roots +/-(1, -1, 0)/sqrt(2) of these cells
+        # have a nilpotent Jacobian: every eigenvalue is 0, where a general
+        # eigensolver returns up to +6.4e-7 and so labelled them unstable
+        prm = ModelParams(V=v, g=0.0, p=p)
+        equator = [fp for fp in find_fixed_points(prm) if fp.state[2] == 0.0]
+        assert len(equator) == 2
+        for fp in equator:
+            assert abs(abs(fp.state[0]) - math.sqrt(0.5)) < 1e-15
+            assert fp.state[0] == -fp.state[1]
+            jac = jacobian(fp.state, prm)
+            assert np.abs(jac @ jac @ jac).max() < 1e-15
+            assert fp.marginal and not fp.stable
+            assert not fp.eigenvalues.any()
+            max_re = fp.eigenvalues.real.max()
+            # Z is -0 at p = 0, and so are the real parts it gives
+            assert max_re == 0.0 and math.copysign(1.0, max_re) == math.copysign(1.0, zero)
+
+
+class TestClosedFormStability:
+    """The closed-form classification against the ``eigvals`` spectrum of
+    ``newton_oracle.eigvals_classify``, on random cells.
+
+    The cells are away from defective Jacobians: on every root the
+    closed-form eigenvalues lie at least ``SEPARATION`` apart, where the
+    spectrum of a general eigensolver is well conditioned.  The flags must
+    agree on every root, and the eigenvalues to ``BOUND``; the largest
+    distance on this grid is 1.06e-14.  On the equator all real parts are
+    0 up to rounding and the oracle's order is set by that rounding, so
+    there the eigenvalues are compared as sets.
+    """
+
+    BOUND = 2e-14
+    SEPARATION = 1e-3
+
+    @staticmethod
+    def cells():
+        rng = np.random.default_rng(41)
+
+        def cell(p=None):
+            return replace(random_params(rng, p=p), Gamma=float(rng.uniform(0.3, 3.0)))
+
+        cells = [cell() for _ in range(2000)]
+        cells += [cell(p) for p in (0.0, 1.0) for _ in range(300)]
+        return cells + [replace(cell(), g=0.0) for _ in range(300)]
+
+    def test_matches_eigvals_oracle(self):
+        cells = self.cells()
+        listed = find_fixed_points_many(cells)
+        ours = [fp for cell in listed for fp in cell]
+        rows = _ParamRows.of([prm for prm, cell in zip(cells, listed) for _ in cell])
+        states = np.array([fp.state for fp in ours])
+        ref = eigvals_classify(states, rows, [fp.residual for fp in ours])
+        assert len(ours) > 8000
+        assert [(a.stable, a.marginal) for a in ours] == [(b.stable, b.marginal) for b in ref]
+
+        lam = np.array([fp.eigenvalues.astype(complex) for fp in ours])
+        oracle = np.array([fp.eigenvalues.astype(complex) for fp in ref])
+        pairs = list(itertools.combinations(range(3), 2))
+        separation = np.min([np.abs(lam[:, i] - lam[:, j]) for i, j in pairs], axis=0)
+        as_sets = np.min([np.abs(lam - oracle[:, list(order)]).max(axis=1)
+                          for order in itertools.permutations(range(3))], axis=0)
+        in_order = np.abs(lam - oracle).max(axis=1)
+        equator = np.abs(states[:, 2]) < 1e-12
+        assert separation.min() >= self.SEPARATION
+        assert np.where(equator, as_sets, in_order).max() <= self.BOUND
+        assert all(a.eigenvalues.dtype == b.eigenvalues.dtype for a, b in zip(ours, ref))
+        # the grid holds stable, unstable and marginal roots, real and
+        # complex spectra, and equator roots in the oracle's other order
+        assert {fp.eigenvalues.dtype.kind for fp in ours} == {"f", "c"}
+        assert any(fp.stable for fp in ours) and any(fp.marginal for fp in ours)
+        assert any(not fp.stable and not fp.marginal for fp in ours)
+        assert (in_order[equator] > self.BOUND).any()
 
 
 class TestFindFixedPoints:
@@ -505,8 +589,16 @@ class TestStackedSearch:
         listed = sorted((tuple(fp.state), fp.residual) for fp in fps)
         assert listed == sorted([cands[5], cands[2], cands[4]])
 
-    def test_classify_stability_is_the_stacked_classification(self):
-        for prm, cell in zip(self.GRID, find_fixed_points_many(self.GRID)):
+    def test_classify_stability_is_the_stacked_classification(self, monkeypatch):
+        listed = find_fixed_points_many(self.GRID)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        # the classification is closed-form: no eigensolver runs in it
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        for prm, cell in zip(self.GRID, listed):
             for fp in cell:
                 alone = classify_stability(fp.state, prm, root_tol=10 * ROOT_TOL)
                 assert same_fixed_points([alone], [fp]), prm
